@@ -116,23 +116,24 @@ impl<T: Send + 'static> AsyncMutex<T> {
 
     /// Acquire the lock as a future of the guard.
     pub fn lock(&self) -> Future<AsyncMutexGuard<T>> {
-        let acquired = {
-            let mut st = self.inner.state.lock();
-            if st.locked {
-                false
-            } else {
-                st.locked = true;
-                true
-            }
-        };
-        let inner = self.inner.clone();
         let mut p = self.make_promise();
         let f = p.future();
-        if acquired {
+        // Test and enqueue in one critical section: a guard dropped in
+        // between would find no waiter, unlock, and strand this one.
+        let granted = {
+            let mut st = self.inner.state.lock();
+            if st.locked {
+                st.waiters.push_back(p);
+                None
+            } else {
+                st.locked = true;
+                Some(p)
+            }
+        };
+        if let Some(p) = granted {
             p.set_value(());
-        } else {
-            self.inner.state.lock().waiters.push_back(p);
         }
+        let inner = self.inner.clone();
         f.then(move |()| AsyncMutexGuard { inner })
     }
 
@@ -182,6 +183,53 @@ mod tests {
         f1.get().push(1);
         f2.get().push(2);
         assert_eq!(*m.lock().get(), vec![1, 2]);
+    }
+
+    #[test]
+    fn unlock_racing_a_contended_lock_strands_no_waiter() {
+        // Rounds of exactly two racing `lock()`s: if the loser sees the
+        // lock held but the winner unlocks before the loser is queued,
+        // nothing else in the round unlocks to grant it, and the round
+        // times out.
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::time::{Duration, Instant};
+        let m = AsyncMutex::new(0u64);
+        let round = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(AtomicU64::new(0));
+        let rounds = 5_000u64;
+        let racer = || {
+            let (m, round, done) = (m.clone(), round.clone(), done.clone());
+            std::thread::spawn(move || {
+                for r in 1..=rounds {
+                    // Spin briefly so both threads leave together, then
+                    // yield so a parked loser can be granted.
+                    let mut spins = 0u32;
+                    while round.load(Ordering::Acquire) < r {
+                        spins += 1;
+                        if spins < 2_000 {
+                            std::hint::spin_loop();
+                        } else {
+                            std::thread::yield_now();
+                        }
+                    }
+                    *m.lock().get() += 1;
+                    done.fetch_add(1, Ordering::AcqRel);
+                }
+            })
+        };
+        let racers = [racer(), racer()];
+        for r in 1..=rounds {
+            round.store(r, Ordering::Release);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while done.load(Ordering::Acquire) < 2 * r {
+                assert!(Instant::now() < deadline, "round {r}: a contended lock() was never granted");
+                std::thread::yield_now();
+            }
+        }
+        for t in racers {
+            t.join().expect("racer panicked");
+        }
+        assert_eq!(*m.lock().get(), 2 * rounds);
     }
 
     #[test]

@@ -1,16 +1,24 @@
-//! The TCP parcelport: real sockets, framing, and parcel coalescing.
+//! The TCP parcelport: real sockets, framing, and write-combining.
 //!
 //! Modeled on HPX's TCP parcelport as deployed on commodity clusters
 //! (the Raspberry Pi study that accompanies the paper's platform line):
 //! each ordered pair of localities gets one TCP connection, owned by the
-//! *sender*. A per-peer writer thread drains a bounded byte queue and
-//! **coalesces** every frame queued within a small window into a single
-//! `write` — on loopback and gigabit-class links the syscall/packet
-//! overhead of many tiny active messages dominates, and batching them is
-//! what makes AMT halo traffic viable. A flush happens when either
+//! *sender*. A per-peer writer thread drains a bounded byte queue as a
+//! **write-combiner**: it takes whatever is queued the moment the queue
+//! is non-empty, and every frame queued while that `write` is in flight
+//! leaves together in the next one. A lone halo parcel therefore goes
+//! out at once, while a back-to-back stream batches itself with no timer
+//! — on loopback and gigabit-class links the syscall/packet overhead of
+//! many tiny active messages dominates, and batching them is what makes
+//! AMT traffic viable. A drained batch is split into writes of at most
+//! [`TcpConfig::coalesce_max_bytes`] (whole frames, at least one each).
 //!
-//! * the queued bytes reach [`TcpConfig::coalesce_max_bytes`], or
-//! * the oldest queued frame has waited [`TcpConfig::coalesce_max_delay`].
+//! Wake-ups are edge-triggered: a sender signals the writer only when it
+//! turns an empty queue non-empty, and the writer signals blocked
+//! senders only when it drains a queue that had reached
+//! [`TcpConfig::queue_capacity_bytes`]. Each `notify` is a futex syscall
+//! whether or not anyone waits, so level-triggered wakes cost a syscall
+//! per parcel on the hot path.
 //!
 //! Inbound, an accept thread performs a 4-byte hello handshake (the
 //! connecting locality announces its id) and spawns a reader that
@@ -29,15 +37,14 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tuning knobs for [`TcpParcelport`].
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
-    /// Flush the coalescing buffer once this many bytes are queued.
+    /// Largest physical write: a drained batch is split into writes of
+    /// at most this many bytes (whole frames, at least one per write).
     pub coalesce_max_bytes: usize,
-    /// Flush once the oldest queued frame has waited this long.
-    pub coalesce_max_delay: Duration,
     /// Backpressure bound: [`Parcelport::send`] blocks while a peer's
     /// queue holds this many bytes.
     pub queue_capacity_bytes: usize,
@@ -52,7 +59,6 @@ impl Default for TcpConfig {
     fn default() -> TcpConfig {
         TcpConfig {
             coalesce_max_bytes: 16 << 10,
-            coalesce_max_delay: Duration::from_micros(200),
             queue_capacity_bytes: 4 << 20,
             connect_attempts: 20,
             connect_backoff: Duration::from_millis(1),
@@ -61,13 +67,12 @@ impl Default for TcpConfig {
 }
 
 impl TcpConfig {
-    /// A configuration with coalescing effectively disabled: every parcel
-    /// is written as soon as the writer thread sees it (the baseline the
-    /// coalescing benchmark compares against).
+    /// A configuration with write-combining disabled: every parcel gets
+    /// its own write (the baseline the coalescing benchmark compares
+    /// against).
     pub fn uncoalesced() -> TcpConfig {
         TcpConfig {
             coalesce_max_bytes: 1,
-            coalesce_max_delay: Duration::ZERO,
             ..TcpConfig::default()
         }
     }
@@ -91,16 +96,27 @@ struct PeerQueue {
     lens: Vec<usize>,
     /// Parcels those bytes represent.
     frames: usize,
-    /// When the oldest queued frame arrived (the coalescing clock).
-    first_at: Option<Instant>,
     closed: bool,
+}
+
+impl PeerQueue {
+    /// Append `parcel`'s frame. Returns true if the queue was empty, i.e.
+    /// the writer may be asleep and needs a wake.
+    fn push(&mut self, parcel: &Parcel) -> bool {
+        let before = self.buf.len();
+        frame::encode(parcel, &mut self.buf);
+        self.lens.push(self.buf.len() - before);
+        self.frames += 1;
+        before == 0
+    }
 }
 
 struct PeerShared {
     state: Mutex<PeerQueue>,
-    /// Wakes the writer when frames arrive or the queue closes.
+    /// Wakes the writer when a frame lands in an empty queue or the
+    /// queue closes.
     ready: Condvar,
-    /// Wakes blocked senders when the writer drains the queue.
+    /// Wakes blocked senders when the writer drains a full queue.
     space: Condvar,
 }
 
@@ -246,7 +262,6 @@ impl TcpParcelport {
                 buf: Vec::new(),
                 lens: Vec::new(),
                 frames: 0,
-                first_at: None,
                 closed: false,
             }),
             ready: Condvar::new(),
@@ -314,9 +329,10 @@ impl Parcelport for TcpParcelport {
         let cfg = &self.inner.cfg;
         let mut q = peer.shared.state.lock();
         // Backpressure: block while the peer's queue is full, failing if
-        // the connection dies while we wait.
+        // the connection dies while we wait. Draining a full queue and
+        // closing it both wake `space`, so the wait needs no timeout.
         while !q.closed && q.buf.len() >= cfg.queue_capacity_bytes {
-            peer.shared.space.wait_for(&mut q, Duration::from_millis(50));
+            peer.shared.space.wait(&mut q);
             if self.inner.shutdown.load(Ordering::Acquire) {
                 return Err(Error::RuntimeShutDown);
             }
@@ -324,16 +340,13 @@ impl Parcelport for TcpParcelport {
         if q.closed {
             return Err(Error::PeerLost(peer.id));
         }
-        if q.first_at.is_none() {
-            q.first_at = Some(Instant::now());
-        }
-        let before = q.buf.len();
-        frame::encode(&parcel, &mut q.buf);
-        let len = q.buf.len() - before;
-        q.lens.push(len);
-        q.frames += 1;
+        let was_empty = q.push(&parcel);
         drop(q);
-        peer.shared.ready.notify_one();
+        // The writer sleeps only on an empty queue, and checks it under
+        // the lock first, so only the empty → non-empty edge needs a wake.
+        if was_empty {
+            peer.shared.ready.notify_one();
+        }
         self.inner.stats.parcels_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -464,62 +477,48 @@ fn reader_loop(mut stream: TcpStream, peer_id: u32, inner: Arc<Inner>) {
 }
 
 fn writer_loop(mut stream: TcpStream, peer_id: u32, shared: Arc<PeerShared>, inner: Arc<Inner>) {
+    // Swapped with the queue's buffers on every drain, so the steady
+    // state allocates nothing.
+    let mut batch: Vec<u8> = Vec::new();
+    let mut lens: Vec<usize> = Vec::new();
     loop {
-        let (batch, lens) = {
+        let was_full = {
             let mut q = shared.state.lock();
-            loop {
-                if q.buf.is_empty() {
-                    if q.closed {
-                        return;
-                    }
-                    shared.ready.wait_for(&mut q, Duration::from_millis(50));
-                    continue;
+            while q.buf.is_empty() {
+                if q.closed {
+                    return;
                 }
-                // Coalescing window: hold small frames until the size or
-                // time threshold trips (or the queue is closing).
-                let deadline = q.first_at.expect("non-empty queue has a first_at")
-                    + inner.cfg.coalesce_max_delay;
-                if q.closed
-                    || q.buf.len() >= inner.cfg.coalesce_max_bytes
-                    || Instant::now() >= deadline
-                {
-                    break;
-                }
-                shared.ready.wait_until(&mut q, deadline);
+                shared.ready.wait(&mut q);
             }
-            let batch = std::mem::take(&mut q.buf);
-            let lens = std::mem::take(&mut q.lens);
+            batch.clear();
+            lens.clear();
+            std::mem::swap(&mut q.buf, &mut batch);
+            std::mem::swap(&mut q.lens, &mut lens);
             q.frames = 0;
-            q.first_at = None;
-            shared.space.notify_all();
-            (batch, lens)
+            batch.len() >= inner.cfg.queue_capacity_bytes
         };
-        // Split the drained batch into write units: whole frames packed
-        // greedily up to `coalesce_max_bytes` per physical write (always
-        // at least one frame per unit, so oversized frames still go out).
-        let mut units: Vec<usize> = Vec::new();
-        let mut unit = 0usize;
-        for len in &lens {
-            if unit > 0 && unit + len > inner.cfg.coalesce_max_bytes {
-                units.push(unit);
-                unit = 0;
-            }
-            unit += len;
+        // Only a full queue can have senders blocked on it.
+        if was_full {
+            shared.space.notify_all();
         }
-        if unit > 0 {
-            units.push(unit);
-        }
+        // Pack whole frames greedily into writes of at most
+        // `coalesce_max_bytes` (an oversized frame still goes out alone).
         let mut start = 0usize;
-        for unit_len in units {
-            if stream.write_all(&batch[start..start + unit_len]).is_err() {
-                inner.close_peer_queue(peer_id);
-                inner.mark_peer_lost();
-                inner.emit(PortEvent::PeerLost(peer_id));
-                return;
+        let mut end = 0usize;
+        for (k, len) in lens.iter().enumerate() {
+            end += len;
+            let last = k + 1 == lens.len();
+            if last || end - start + lens[k + 1] > inner.cfg.coalesce_max_bytes {
+                if stream.write_all(&batch[start..end]).is_err() {
+                    inner.close_peer_queue(peer_id);
+                    inner.mark_peer_lost();
+                    inner.emit(PortEvent::PeerLost(peer_id));
+                    return;
+                }
+                inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+                inner.stats.bytes_sent.fetch_add((end - start) as u64, Ordering::Relaxed);
+                start = end;
             }
-            inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-            inner.stats.bytes_sent.fetch_add(unit_len as u64, Ordering::Relaxed);
-            start += unit_len;
         }
     }
 }
@@ -530,6 +529,7 @@ mod tests {
     use crate::agas::Gid;
     use bytes::Bytes;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     fn parcel(dest: u32, payload: &[u8]) -> Parcel {
         Parcel {
@@ -589,43 +589,114 @@ mod tests {
 
     #[test]
     fn coalescing_flushes_on_size_threshold() {
-        // Timer threshold far away: only the size threshold can flush.
-        let cfg = TcpConfig {
-            coalesce_max_bytes: 4 * (frame::HEADER_LEN + 8),
-            coalesce_max_delay: Duration::from_secs(10),
-            ..TcpConfig::default()
-        };
+        let frame_len = frame::HEADER_LEN + 8;
+        let cfg = TcpConfig { coalesce_max_bytes: 4 * frame_len, ..TcpConfig::default() };
         let (a, b, rx) = pair(cfg);
-        for i in 0..16u8 {
-            a.send(parcel(1, &[i; 8])).unwrap();
+        // Queue 16 frames in one critical section, so the writer drains
+        // them as a single batch that only the size bound can split.
+        let peer = a.inner.peers.read()[&1].clone();
+        {
+            let mut q = peer.shared.state.lock();
+            for i in 0..16u8 {
+                q.push(&parcel(1, &[i; 8]));
+            }
         }
-        recv_parcels(&rx, 16);
-        let writes = a.writes();
-        assert!(writes >= 1, "at least one flush");
-        assert!(writes < 16, "coalescing must batch frames, got {writes} writes for 16 parcels");
+        peer.shared.ready.notify_one();
+        let got = recv_parcels(&rx, 16);
+        assert!(got.iter().enumerate().all(|(i, p)| p.payload[0] == i as u8), "in order");
         a.shutdown();
+        assert_eq!(a.writes(), 4, "16 frames in writes of at most 4 frames each");
+        assert_eq!(a.bytes_sent(), 16 * frame_len as u64);
         b.shutdown();
     }
 
     #[test]
-    fn coalescing_flushes_on_timer_threshold() {
-        // Size threshold unreachable: only the timer can flush.
-        let cfg = TcpConfig {
-            coalesce_max_bytes: 1 << 20,
-            coalesce_max_delay: Duration::from_millis(30),
-            ..TcpConfig::default()
-        };
-        let (a, b, rx) = pair(cfg);
-        let t0 = Instant::now();
-        for i in 0..3u8 {
-            a.send(parcel(1, &[i; 8])).unwrap();
+    fn isolated_round_trips_take_one_write_each() {
+        // Nothing is queued behind a lone parcel, so write-combining must
+        // send it at once: k round trips, k writes, no timer to wait out.
+        let (a, b, rx) = pair(TcpConfig::default());
+        let k = 50u64;
+        for i in 0..k {
+            a.send(parcel(1, &i.to_le_bytes())).unwrap();
+            assert_eq!(recv_parcels(&rx, 1)[0].payload[..], i.to_le_bytes());
         }
-        recv_parcels(&rx, 3);
+        // Joining the writer makes its last `writes` increment visible.
+        a.shutdown();
+        assert_eq!(a.writes(), k);
+        b.shutdown();
+    }
+
+    #[test]
+    fn back_to_back_stream_combines_writes() {
+        let (a, b, rx) = pair(TcpConfig::default());
+        let n = 4000u32;
+        for i in 0..n {
+            a.send(parcel(1, &i.to_le_bytes())).unwrap();
+        }
+        let got = recv_parcels(&rx, n as usize);
+        for (i, p) in got.iter().enumerate() {
+            assert_eq!(p.payload[..], (i as u32).to_le_bytes(), "in-order delivery");
+        }
+        a.shutdown();
+        let writes = a.writes();
         assert!(
-            t0.elapsed() >= Duration::from_millis(25),
-            "frames should have been held for the coalescing window"
+            writes < n as u64,
+            "frames queued during a write must share the next one: {writes} writes for {n} parcels"
         );
-        assert_eq!(a.writes(), 1, "one batch for all frames queued in the window");
+        b.shutdown();
+    }
+
+    #[test]
+    fn sender_blocked_on_full_queue_is_released_by_the_drain() {
+        // B's reader stalls in its sink while `gate` is held, so A's
+        // socket buffers fill, A's writer blocks mid-write, and A's queue
+        // reaches capacity with the sender parked on it. Every earlier
+        // drain of a full queue must also have woken the sender, or it
+        // is stranded before the queue can fill.
+        let gate = Arc::new(Mutex::new(()));
+        let (tx, rx) = mpsc::channel();
+        let gate2 = gate.clone();
+        let sink_b: PortSink = Arc::new(move |ev| {
+            drop(gate2.lock());
+            let _ = tx.send(ev);
+        });
+        let cap = 64 << 10;
+        let cfg = TcpConfig { queue_capacity_bytes: cap, ..TcpConfig::default() };
+        let a = TcpParcelport::bind(0, loopback(), Arc::new(|_| {}), cfg.clone()).unwrap();
+        let b = TcpParcelport::bind(1, loopback(), sink_b, cfg).unwrap();
+        a.connect_peer(1, b.local_addr()).unwrap();
+        // Taken after `b`, so a failing assert releases it before `b`'s
+        // drop joins the stalled reader.
+        let held = gate.lock();
+
+        // Far more bytes than loopback socket buffers hold.
+        let n = 2048usize;
+        let (done_tx, done_rx) = mpsc::channel();
+        let a2 = a.clone();
+        let sender = std::thread::spawn(move || {
+            let payload = vec![0x5a; 16 << 10];
+            for _ in 0..n {
+                a2.send(parcel(1, &payload)).unwrap();
+            }
+            let _ = done_tx.send(());
+        });
+        let peer = a.inner.peers.read()[&1].clone();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while peer.shared.state.lock().buf.len() < cap {
+            assert!(
+                Instant::now() < deadline,
+                "the queue never filled: the sender was stranded by a missed wake"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(done_rx.try_recv().is_err(), "the sender must be blocked on the full queue");
+
+        drop(held);
+        done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("draining a full queue must release its blocked sender");
+        sender.join().unwrap();
+        assert_eq!(recv_parcels(&rx, n).len(), n);
         a.shutdown();
         b.shutdown();
     }

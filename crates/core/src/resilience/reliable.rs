@@ -13,10 +13,20 @@
 //! action is [`RELIABLE_DATA`] and whose payload prepends
 //! `[seq u64][orig action u32][flags u8][token u64][fnv1a32 u32]` to the
 //! original payload. Acks are [`RELIABLE_ACK`] parcels carrying a list
-//! of acknowledged sequence numbers (batched by a delayed-ack window so
-//! the fault-free overhead stays low). Actions listed in
-//! [`ReliableConfig::bypass_actions`] (heartbeats) skip the layer
-//! entirely: liveness probes must not be healed into lies.
+//! of acknowledged sequence numbers. Acks are delayed: receiving a
+//! carrier only records its seq, and the maintenance thread sends each
+//! peer's batch on its next [`ReliableConfig::ack_flush`] tick, so a
+//! stream of data parcels costs one ack parcel per tick, not one each.
+//! Actions listed in [`ReliableConfig::bypass_actions`] (heartbeats)
+//! skip the layer entirely: liveness probes must not be healed into lies.
+//!
+//! Retransmission follows TCP's rule of restarting the timer whenever an
+//! ack acknowledges new data (RFC 6298 §5.3). Seqs travel in order, so
+//! while acks keep advancing a peer's ack frontier, carriers past the
+//! frontier are still queued or in flight behind it — under backpressure
+//! that can take far longer than the timeout — and their clock restarts
+//! with each advance. A carrier *below* the frontier that is still
+//! unacked was lost or corrupted; it times out on its own send time.
 
 use crate::error::{Error, Result};
 use crate::parcel::frame::{fnv1a32, fnv1a32_with};
@@ -44,13 +54,14 @@ const WRAP_FLAG_TOKEN: u8 = 0b0000_0001;
 /// Tuning knobs for [`ReliableParcelport`].
 #[derive(Clone, Debug)]
 pub struct ReliableConfig {
-    /// Retransmit an unacked parcel after this long.
+    /// Retransmit an unacked parcel after this long without ack progress
+    /// from its peer (see the module docs).
     pub retransmit_timeout: Duration,
     /// Give up and declare the peer lost after this many retransmits of
     /// one parcel.
     pub max_retransmits: u32,
     /// Delayed-ack window: acks accumulate for up to this long before a
-    /// batch ack parcel is sent.
+    /// batch ack parcel is sent (the maintenance thread's tick).
     pub ack_flush: Duration,
     /// Actions sent around the layer, unsequenced and unacked
     /// (heartbeats — healing liveness probes would defeat them).
@@ -97,13 +108,41 @@ impl RecvWindow {
     }
 }
 
+/// The highest seq a peer has acked, and when that last advanced.
+struct AckFrontier {
+    seq: u64,
+    at: Instant,
+}
+
+/// When the retransmit clock of carrier `seq`, sent at `sent_at`,
+/// started: a carrier past the frontier is queued behind data the peer
+/// is still acking, so each advance restarts its clock.
+fn rto_start(frontier: Option<&AckFrontier>, seq: u64, sent_at: Instant) -> Instant {
+    match frontier {
+        Some(f) if seq > f.seq => sent_at.max(f.at),
+        _ => sent_at,
+    }
+}
+
 #[derive(Default)]
 struct RelState {
     next_seq: HashMap<u32, u64>,
     unacked: HashMap<(u32, u64), Unacked>,
+    frontier: HashMap<u32, AckFrontier>,
     recv: HashMap<u32, RecvWindow>,
     pending_acks: HashMap<u32, Vec<u64>>,
     dead_peers: HashSet<u32>,
+}
+
+impl RelState {
+    /// Declare `peer` dead and drop what was kept for it. Returns false
+    /// if it already was.
+    fn forget(&mut self, peer: u32) -> bool {
+        self.unacked.retain(|(p, _), _| *p != peer);
+        self.pending_acks.remove(&peer);
+        self.frontier.remove(&peer);
+        self.dead_peers.insert(peer)
+    }
 }
 
 /// The reliability decorator. Wraps any [`Parcelport`]; hand its
@@ -306,32 +345,32 @@ impl ReliableParcelport {
                     return;
                 }
                 let mut st = self.state.lock();
+                let mut newest = None;
                 for chunk in buf[..buf.len() - 4].chunks_exact(8) {
                     let seq = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    st.unacked.remove(&(p.source, seq));
+                    if st.unacked.remove(&(p.source, seq)).is_some() {
+                        newest = newest.max(Some(seq));
+                    }
+                }
+                // Only acks of new data restart the peer's clock.
+                if let Some(seq) = newest {
+                    let at = Instant::now();
+                    let f = st.frontier.entry(p.source).or_insert(AckFrontier { seq, at });
+                    f.seq = f.seq.max(seq);
+                    f.at = at;
                 }
             }
             PortEvent::Deliver(p) if p.action == RELIABLE_DATA => {
                 match Self::unwrap_carrier(&p) {
                     Ok((seq, parcel)) => {
-                        let (fresh, first_ack) = {
+                        let fresh = {
                             let mut st = self.state.lock();
                             // Always ack, even duplicates: the dup means
                             // the sender missed (or has yet to see) an
-                            // earlier ack.
-                            let acks = st.pending_acks.entry(p.source).or_default();
-                            let first_ack = acks.is_empty();
-                            acks.push(seq);
-                            (st.recv.entry(p.source).or_default().record(seq), first_ack)
+                            // earlier ack. The next tick sends the batch.
+                            st.pending_acks.entry(p.source).or_default().push(seq);
+                            st.recv.entry(p.source).or_default().record(seq)
                         };
-                        // Wake the flush thread only when this parcel
-                        // *opens* a batch; later arrivals ride the same
-                        // flush. A per-parcel notify is a futex wake on
-                        // the hot path and throttles small-parcel
-                        // streams measurably.
-                        if first_ack {
-                            self.wake.notify_one();
-                        }
                         if fresh {
                             // Forward before counting so an idle check
                             // can't observe "delivered" with the parcel
@@ -364,14 +403,12 @@ impl ReliableParcelport {
     }
 
     fn drop_peer_state(&self, peer: u32) {
-        let mut st = self.state.lock();
-        st.dead_peers.insert(peer);
-        st.unacked.retain(|(p, _), _| *p != peer);
-        st.pending_acks.remove(&peer);
+        self.state.lock().forget(peer);
     }
 
-    /// One maintenance pass: flush batched acks, retransmit overdue
-    /// parcels, declare peers dead after `max_retransmits`.
+    /// One maintenance pass: flush batched acks, retransmit parcels whose
+    /// peer has made no ack progress for a timeout, declare peers dead
+    /// after `max_retransmits`.
     fn tick(&self) {
         let Ok(inner) = self.inner() else { return };
         let now = Instant::now();
@@ -379,7 +416,8 @@ impl ReliableParcelport {
         let mut resend: Vec<Parcel> = Vec::new();
         let mut lost: Vec<u32> = Vec::new();
         {
-            let mut st = self.state.lock();
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
             for (peer, seqs) in st.pending_acks.drain() {
                 if !seqs.is_empty() {
                     acks.push((peer, seqs));
@@ -388,8 +426,9 @@ impl ReliableParcelport {
             let rto = self.cfg.retransmit_timeout;
             let max = self.cfg.max_retransmits;
             let mut give_up: Vec<u32> = Vec::new();
-            for ((peer, _), entry) in st.unacked.iter_mut() {
-                if now.duration_since(entry.sent_at) >= rto {
+            for ((peer, seq), entry) in st.unacked.iter_mut() {
+                let start = rto_start(st.frontier.get(peer), *seq, entry.sent_at);
+                if now.duration_since(start) >= rto {
                     if entry.attempts >= max {
                         give_up.push(*peer);
                     } else {
@@ -400,11 +439,9 @@ impl ReliableParcelport {
                 }
             }
             for peer in give_up {
-                if st.dead_peers.insert(peer) {
+                if st.forget(peer) {
                     lost.push(peer);
                 }
-                st.unacked.retain(|(p, _), _| *p != peer);
-                st.pending_acks.remove(&peer);
             }
         }
         for (peer, seqs) in acks {
@@ -643,6 +680,75 @@ mod tests {
         assert_eq!(rel.data_sent(), 10);
         assert_eq!(rel.data_delivered(), 10);
         assert!(rel.acks_sent() >= 1);
+        rel.shutdown();
+    }
+
+    #[test]
+    fn ack_progress_restarts_the_clock_only_past_the_frontier() {
+        let t0 = Instant::now();
+        let later = t0 + Duration::from_millis(40);
+        let f = AckFrontier { seq: 10, at: later };
+        assert_eq!(rto_start(None, 3, t0), t0, "no acks yet: own send time");
+        assert_eq!(rto_start(Some(&f), 11, t0), later, "still queued behind acked data");
+        assert_eq!(rto_start(Some(&f), 7, t0), t0, "a hole below the frontier was lost");
+        let resent = t0 + Duration::from_millis(90);
+        assert_eq!(rto_start(Some(&f), 12, resent), resent, "a resend restarts it too");
+    }
+
+    /// Inner port that records every send and delivers nothing.
+    #[derive(Default)]
+    struct Recorder {
+        sent: Mutex<Vec<Parcel>>,
+    }
+
+    impl Parcelport for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn send(&self, parcel: Parcel) -> Result<()> {
+            self.sent.lock().push(parcel);
+            Ok(())
+        }
+        fn pending(&self) -> usize {
+            0
+        }
+        fn bytes_sent(&self) -> u64 {
+            0
+        }
+        fn writes(&self) -> u64 {
+            0
+        }
+        fn shutdown(&self) {}
+    }
+
+    fn ack_from(peer: u32, seqs: &[u64]) -> PortEvent {
+        let mut payload: Vec<u8> = seqs.iter().flat_map(|s| s.to_le_bytes()).collect();
+        payload.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
+        PortEvent::Deliver(parcel(peer, 0, RELIABLE_ACK, &payload, None))
+    }
+
+    #[test]
+    fn hole_below_the_ack_frontier_is_retransmitted() {
+        let rel = ReliableParcelport::new(
+            0,
+            ReliableConfig { retransmit_timeout: Duration::from_millis(20), ..ReliableConfig::default() },
+            Arc::new(|_| {}),
+        );
+        let wire = Arc::new(Recorder::default());
+        rel.attach_inner(wire.clone());
+        for i in 0..3u8 {
+            rel.send(parcel(0, 1, 0x42, &[i], None)).unwrap();
+        }
+        rel.inbound_sink()(ack_from(1, &[0, 2]));
+        assert_eq!(rel.unacked(), 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rel.retransmits() == 0 {
+            assert!(Instant::now() < deadline, "the hole was never retransmitted");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let resent = wire.sent.lock()[3].clone();
+        let (seq, _) = ReliableParcelport::unwrap_carrier(&resent).unwrap();
+        assert_eq!(seq, 1, "only the unacked carrier is resent");
         rel.shutdown();
     }
 
