@@ -254,6 +254,7 @@ impl CounterSnapshot {
 /// Background thread snapshotting a [`CounterRegistry`] at a fixed
 /// interval into a [`SampleSeries`].
 pub struct CounterSampler {
+    registry: Arc<CounterRegistry>,
     stop: Arc<AtomicBool>,
     samples: Arc<Mutex<Vec<CounterSnapshot>>>,
     handle: thread::JoinHandle<()>,
@@ -266,6 +267,7 @@ impl CounterSampler {
         let stop = Arc::new(AtomicBool::new(false));
         let samples = Arc::new(Mutex::new(vec![registry.snapshot()]));
         let handle = {
+            let registry = registry.clone();
             let stop = stop.clone();
             let samples = samples.clone();
             thread::Builder::new()
@@ -279,6 +281,7 @@ impl CounterSampler {
                 .expect("spawn counter sampler thread")
         };
         CounterSampler {
+            registry,
             stop,
             samples,
             handle,
@@ -289,6 +292,9 @@ impl CounterSampler {
     pub fn stop(self) -> SampleSeries {
         self.stop.store(true, Ordering::Release);
         self.handle.join().expect("join counter sampler thread");
+        // Taken here, not by the thread: a thread that had not yet run
+        // when stop was set would leave only the starting snapshot.
+        self.samples.lock().push(self.registry.snapshot());
         let samples = std::mem::take(&mut *self.samples.lock());
         SampleSeries { samples }
     }

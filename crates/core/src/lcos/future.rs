@@ -6,6 +6,16 @@
 //! [`Future::then`] schedules a new lightweight task when the value
 //! arrives. `get` from a worker thread help-executes other tasks while
 //! waiting, so blocking on a future never idles a core.
+//!
+//! Callbacks that run user code — `then`, `share`, the `dataflow`
+//! joins and the resilience combinators — are spawned as high-priority
+//! tasks on a runtime future, and only those count toward
+//! `/lcos/count/continuations`. The gather callbacks of [`when_all`] and
+//! [`when_any`] store one result and at most fulfil their own promise, so
+//! they run inline on the completing thread once its state lock is
+//! dropped, as HPX's `when_all` completes through `set_on_completed`:
+//! a child future costs one task, not two. Detached promises run every
+//! callback inline.
 
 use crate::error::{Error, Result};
 use crate::runtime::{help_until, Core};
@@ -15,9 +25,18 @@ use std::sync::Arc;
 
 type Callback<T> = Box<dyn FnOnce(Result<T>) + Send + 'static>;
 
+/// How a registered callback runs once the result arrives.
+#[derive(Clone, Copy)]
+enum Dispatch {
+    /// As a new high-priority task when the future has a runtime.
+    Spawn,
+    /// On the completing thread, after the state lock is dropped.
+    Inline,
+}
+
 enum State<T> {
     /// Not yet completed; at most one continuation may be registered.
-    Pending { cb: Option<Callback<T>> },
+    Pending { cb: Option<(Callback<T>, Dispatch)> },
     /// Completed, value not yet consumed.
     Ready(Result<T>),
     /// Value handed to `get` or a continuation.
@@ -41,11 +60,11 @@ impl<T: Send + 'static> Shared<T> {
         let mut st = self.state.lock();
         match &mut *st {
             State::Pending { cb } => match cb.take() {
-                Some(cb) => {
+                Some((cb, how)) => {
                     *st = State::Consumed;
                     drop(st);
                     self.completed.store(true, Ordering::Release);
-                    self.run_continuation(cb, res);
+                    self.run_continuation(cb, how, res);
                 }
                 None => {
                     *st = State::Ready(res);
@@ -58,9 +77,9 @@ impl<T: Send + 'static> Shared<T> {
         }
     }
 
-    fn run_continuation(self: &Arc<Self>, cb: Callback<T>, res: Result<T>) {
-        match &self.core {
-            Some(core) => {
+    fn run_continuation(self: &Arc<Self>, cb: Callback<T>, how: Dispatch, res: Result<T>) {
+        match (how, &self.core) {
+            (Dispatch::Spawn, Some(core)) => {
                 core.counters.continuations_run.fetch_add(1, Ordering::Relaxed);
                 // Continuations go through the scheduler like any task, at
                 // high priority to keep dependency chains moving.
@@ -68,7 +87,7 @@ impl<T: Send + 'static> Shared<T> {
                     .with_priority(crate::task::Priority::High);
                 core.spawn(task);
             }
-            None => cb(res),
+            _ => cb(res),
         }
     }
 }
@@ -195,9 +214,21 @@ impl<T: Send + 'static> Future<T> {
     }
 
     /// Register `cb` to run with the result as soon as it is available
-    /// (internal primitive behind `then`/`when_all`). If the future is
-    /// already ready the callback runs immediately on this thread.
+    /// (internal primitive behind `then`, `share` and `dataflow`): as a
+    /// spawned task on a runtime future. If the future is already ready
+    /// the callback runs immediately on this thread.
     pub(crate) fn on_complete(self, cb: impl FnOnce(Result<T>) + Send + 'static) {
+        self.register(cb, Dispatch::Spawn);
+    }
+
+    /// Like [`Future::on_complete`], but `cb` runs on the completing
+    /// thread instead of as a task. Only for callbacks that run no user
+    /// code and take no lock a waiter may hold (`when_all`/`when_any`).
+    pub(crate) fn on_complete_inline(self, cb: impl FnOnce(Result<T>) + Send + 'static) {
+        self.register(cb, Dispatch::Inline);
+    }
+
+    fn register(self, cb: impl FnOnce(Result<T>) + Send + 'static, how: Dispatch) {
         let mut cb = Some(cb);
         let run_now = {
             let mut st = self.shared.state.lock();
@@ -206,7 +237,9 @@ impl<T: Send + 'static> Future<T> {
                 State::Consumed => panic!("future value already consumed"),
                 State::Pending { cb: existing } => {
                     assert!(existing.is_none(), "only one continuation per future");
-                    *st = State::Pending { cb: Some(Box::new(cb.take().expect("cb present"))) };
+                    *st = State::Pending {
+                        cb: Some((Box::new(cb.take().expect("cb present")), how)),
+                    };
                     None
                 }
             }
@@ -417,7 +450,7 @@ pub fn when_all<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<Vec<T>> {
     });
     for (i, f) in futures.into_iter().enumerate() {
         let g = gather.clone();
-        f.on_complete(move |res| {
+        f.on_complete_inline(move |res| {
             g.slots.lock()[i] = Some(res);
             if g.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 let slots = std::mem::take(&mut *g.slots.lock());
@@ -465,15 +498,19 @@ pub fn when_any<T: Send + 'static>(futures: Vec<Future<T>>) -> Future<(usize, T)
     });
     for (i, f) in futures.into_iter().enumerate() {
         let r = race.clone();
-        f.on_complete(move |res| match res {
+        // The promise is taken out before it is fulfilled, so a racing
+        // input never waits on this lock while a completion runs.
+        f.on_complete_inline(move |res| match res {
             Ok(v) => {
-                if let Some(p) = r.promise.lock().take() {
+                let winner = r.promise.lock().take();
+                if let Some(p) = winner {
                     p.set_value((i, v));
                 }
             }
             Err(e) => {
                 if r.failures.fetch_add(1, Ordering::AcqRel) + 1 == r.total {
-                    if let Some(p) = r.promise.lock().take() {
+                    let last = r.promise.lock().take();
+                    if let Some(p) = last {
                         p.set_error(e);
                     }
                 }
@@ -653,6 +690,59 @@ mod tests {
         let rt = Runtime::builder().worker_threads(2).build();
         let f = rt.async_task(|| 20).then(|x| x + 1).then(|x| x * 2);
         assert_eq!(f.get(), 42);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn when_all_gathers_inline_one_task_per_input() {
+        // Each input costs its own task and nothing more: the gather
+        // callbacks run on the completing thread, not as continuations.
+        const N: usize = 16;
+        let rt = Runtime::builder().worker_threads(2).build();
+        let before = rt.perf_snapshot();
+        let fs: Vec<_> = (0..N).map(|i| rt.async_task(move || i)).collect();
+        assert_eq!(when_all(fs).get(), (0..N).collect::<Vec<_>>());
+        let any = when_any((0..N).map(|i| rt.async_task(move || i)).collect());
+        assert!(any.get().0 < N);
+        rt.wait_idle();
+        let d = rt.perf_snapshot().delta(&before);
+        assert_eq!(d.tasks_spawned, 2 * N, "one task per input: {d:?}");
+        assert_eq!(
+            d.continuations_run, 0,
+            "gathers spawn no continuation: {d:?}"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn then_still_spawns_one_continuation_task() {
+        let rt = Runtime::builder().worker_threads(2).build();
+        let mut p = rt.make_promise::<i32>();
+        let f = p.future().then(|x| x + 1);
+        let before = rt.perf_snapshot();
+        p.set_value(41);
+        assert_eq!(f.get(), 42);
+        rt.wait_idle();
+        let d = rt.perf_snapshot().delta(&before);
+        assert_eq!((d.tasks_spawned, d.continuations_run), (1, 1), "{d:?}");
+        rt.shutdown();
+    }
+
+    #[test]
+    fn when_all_completed_from_a_plain_thread_resolves_in_order() {
+        // The last input is a detached promise set from a thread outside
+        // the pool, so the inline gather — and the spawn of the `then`
+        // behind it — run there.
+        let rt = Runtime::builder().worker_threads(2).build();
+        let mut last: Promise<usize> = Promise::new();
+        let fs = vec![rt.async_task(|| 0), last.future(), rt.async_task(|| 2)];
+        let all = when_all(fs).then(|v| v.into_iter().map(|x| x * 10).collect::<Vec<_>>());
+        rt.wait_idle();
+        assert!(!all.is_ready());
+        std::thread::spawn(move || last.set_value(1))
+            .join()
+            .unwrap();
+        assert_eq!(all.get(), vec![0, 10, 20]);
         rt.shutdown();
     }
 

@@ -4,6 +4,12 @@
 //! `/threads/count/cumulative`; this module is the equivalent: cheap
 //! relaxed atomics bumped on the hot paths, snapshotted on demand.
 //!
+//! The per-task counters (spawned, executed, busy time) live in one
+//! cache-line-padded stats lane per worker, plus one lane for spawns
+//! from threads outside the pool, so the spawn → run path never writes a
+//! line another worker writes. Locality totals are sums over the lanes,
+//! taken when read.
+//!
 //! Once a runtime is idle (`wait_idle`), the counters satisfy two
 //! conservation identities (pinned by tests):
 //! `tasks_spawned == tasks_executed + tasks_panicked`, and — summed over
@@ -21,12 +27,10 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Monotone event counters for one runtime.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counters {
-    /// Tasks handed to the scheduler.
-    pub tasks_spawned: AtomicUsize,
-    /// Tasks that finished executing.
-    pub tasks_executed: AtomicUsize,
+    /// One lane per worker, then one for threads outside the pool.
+    lanes: Box<[WorkerStat]>,
     /// Tasks whose closure panicked.
     pub tasks_panicked: AtomicUsize,
     /// Future continuations run.
@@ -50,7 +54,8 @@ pub struct Snapshot {
     pub continuations_run: usize,
     /// Successful steal operations (each may move a whole batch).
     pub tasks_stolen: usize,
-    /// Total pushes observed by the scheduler.
+    /// Tasks pushed to the scheduler: every spawn is one push, so this
+    /// reads the same as `tasks_spawned`.
     pub sched_pushes: usize,
     /// Victim queues probed while stealing (hits and misses).
     pub steal_attempts: usize,
@@ -67,15 +72,53 @@ pub struct Snapshot {
 }
 
 impl Counters {
+    /// Zeroed counters for a runtime of `workers` workers.
+    pub(crate) fn new(workers: usize) -> Counters {
+        Counters {
+            lanes: (0..=workers).map(|_| WorkerStat::default()).collect(),
+            tasks_panicked: AtomicUsize::new(0),
+            continuations_run: AtomicUsize::new(0),
+            parcels_sent: AtomicUsize::new(0),
+            parcels_received: AtomicUsize::new(0),
+        }
+    }
+
+    /// The stats lane of worker `w`, or with `None` the lane shared by
+    /// every thread outside the pool.
+    pub(crate) fn lane(&self, w: Option<usize>) -> &WorkerStat {
+        &self.lanes[w.unwrap_or(self.lanes.len() - 1)]
+    }
+
+    fn lane_sum(&self, field: impl Fn(&WorkerStat) -> &AtomicUsize) -> usize {
+        self.lanes
+            .iter()
+            .map(|l| field(l).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Tasks handed to the scheduler, summed over every lane.
+    pub fn tasks_spawned(&self) -> usize {
+        self.lane_sum(|l| &l.tasks_spawned)
+    }
+
+    /// Tasks that finished executing without panicking: every lane's
+    /// runs minus the panicked ones. Exact once the runtime is idle.
+    pub fn tasks_executed(&self) -> usize {
+        let panicked = self.tasks_panicked.load(Ordering::Relaxed);
+        self.lane_sum(|l| &l.tasks_executed)
+            .saturating_sub(panicked)
+    }
+
     /// Capture a snapshot, merging in the scheduler's own counters.
     pub fn snapshot(&self, sched: &Scheduler) -> Snapshot {
+        let tasks_spawned = self.tasks_spawned();
         Snapshot {
-            tasks_spawned: self.tasks_spawned.load(Ordering::Relaxed),
-            tasks_executed: self.tasks_executed.load(Ordering::Relaxed),
+            tasks_spawned,
+            tasks_executed: self.tasks_executed(),
             tasks_panicked: self.tasks_panicked.load(Ordering::Relaxed),
             continuations_run: self.continuations_run.load(Ordering::Relaxed),
             tasks_stolen: sched.stat_stolen.load(Ordering::Relaxed),
-            sched_pushes: sched.stat_pushed.load(Ordering::Relaxed),
+            sched_pushes: tasks_spawned,
             steal_attempts: sched.stat_steal_attempts.load(Ordering::Relaxed),
             steal_batches: sched.stat_steal_batches.load(Ordering::Relaxed),
             worker_parks: sched.stat_parks.load(Ordering::Relaxed),
@@ -86,16 +129,29 @@ impl Counters {
     }
 }
 
-/// Per-worker execution stats (one per scheduler worker, owned by the
-/// runtime core), feeding the `/threads{locality#L/worker#W}/...`
-/// counter paths.
+/// One worker's task stats, feeding the `/threads{locality#L/worker#W}/...`
+/// counter paths and, summed, the locality totals. Only its worker
+/// writes a worker lane; the outside lane counts spawns only.
+///
+/// Lanes sit in one array with a 128-byte stride, so the counters of two
+/// lanes are at least 104 bytes apart and never share a cache line. The
+/// stride comes from padding, not `CachePadded`: a 128-byte-aligned
+/// block here slowed the set-up that follows a runtime build (DESIGN.md
+/// §2).
 #[derive(Debug, Default)]
 pub(crate) struct WorkerStat {
+    /// Tasks spawned from this worker.
+    pub(crate) tasks_spawned: AtomicUsize,
     /// Tasks this worker ran to completion (panicked or not).
     pub(crate) tasks_executed: AtomicUsize,
-    /// Wall time this worker spent inside tasks, nanoseconds.
+    /// Wall time this worker spent inside outermost tasks, nanoseconds.
+    /// Tasks it help-executes while a task waits are already inside that
+    /// task's time and are not added again.
     pub(crate) busy_ns: AtomicU64,
+    _pad: [u64; 13],
 }
+
+const _: () = assert!(std::mem::size_of::<WorkerStat>() == 128);
 
 /// Populate `registry` with the standard counter set of one runtime:
 /// locality-total counters for every [`Snapshot`] field plus per-worker
@@ -111,6 +167,15 @@ pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u3
             );
         }};
     }
+    macro_rules! summed {
+        ($name:expr, $sum:ident) => {{
+            let c = core.clone();
+            registry.register(
+                CounterPath::new("threads", locality, Instance::Total, $name),
+                move || c.counters.$sum() as u64,
+            );
+        }};
+    }
     macro_rules! sched_counter {
         ($name:expr, $field:ident) => {{
             let c = core.clone();
@@ -120,28 +185,33 @@ pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u3
             );
         }};
     }
-    counter!("threads", "count/cumulative", tasks_executed);
-    counter!("threads", "count/spawned", tasks_spawned);
+    summed!("count/cumulative", tasks_executed);
+    summed!("count/spawned", tasks_spawned);
+    summed!("count/pushes", tasks_spawned);
     counter!("threads", "count/panicked", tasks_panicked);
     counter!("lcos", "count/continuations", continuations_run);
     counter!("parcels", "count/sent", parcels_sent);
     counter!("parcels", "count/received", parcels_received);
     sched_counter!("count/stolen", stat_stolen);
-    sched_counter!("count/pushes", stat_pushed);
     sched_counter!("count/steal-attempts", stat_steal_attempts);
     sched_counter!("count/steal-batches", stat_steal_batches);
     sched_counter!("count/parks", stat_parks);
     sched_counter!("count/wakes", stat_wakes);
-    for w in 0..core.worker_stats.len() {
+    for w in 0..core.sched.workers() {
         let c = core.clone();
         registry.register(
             CounterPath::new("threads", locality, Instance::Worker(w), "count/cumulative"),
-            move || c.worker_stats[w].tasks_executed.load(Ordering::Relaxed) as u64,
+            move || {
+                c.counters
+                    .lane(Some(w))
+                    .tasks_executed
+                    .load(Ordering::Relaxed) as u64
+            },
         );
         let c = core.clone();
         registry.register(
             CounterPath::new("threads", locality, Instance::Worker(w), "time/busy-ns"),
-            move || c.worker_stats[w].busy_ns.load(Ordering::Relaxed),
+            move || c.counters.lane(Some(w)).busy_ns.load(Ordering::Relaxed),
         );
     }
     // Latency-histogram probes (nanoseconds): locality-total p50/p99 and
@@ -171,7 +241,7 @@ pub(crate) fn register_runtime_counters(registry: &CounterRegistry, locality: u3
             move || c.latency.merged(ch).count(),
         );
     }
-    for w in 0..core.worker_stats.len() {
+    for w in 0..core.sched.workers() {
         for (qname, q) in [("p50", 0.5), ("p99", 0.99)] {
             let c = core.clone();
             registry.register(
@@ -234,19 +304,25 @@ mod tests {
 
     #[test]
     fn snapshot_reflects_counts() {
-        let c = Counters::default();
-        c.tasks_spawned.fetch_add(3, Ordering::Relaxed);
+        let c = Counters::new(2);
+        let (w0, w1, outside) = (c.lane(Some(0)), c.lane(Some(1)), c.lane(None));
+        w0.tasks_spawned.fetch_add(2, Ordering::Relaxed);
+        outside.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        w1.tasks_executed.fetch_add(3, Ordering::Relaxed);
+        c.tasks_panicked.fetch_add(1, Ordering::Relaxed);
         c.parcels_sent.fetch_add(2, Ordering::Relaxed);
-        let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
+        let s = Scheduler::new(2, SchedulerPolicy::LocalPriority);
         let snap = c.snapshot(&s);
-        assert_eq!(snap.tasks_spawned, 3);
+        assert_eq!(snap.tasks_spawned, 3, "worker and outside lanes");
+        assert_eq!(snap.sched_pushes, 3);
+        assert_eq!(snap.tasks_executed, 2, "runs minus panics");
         assert_eq!(snap.parcels_sent, 2);
         assert_eq!(snap.tasks_stolen, 0);
     }
 
     #[test]
     fn paths_cover_all_counters() {
-        let c = Counters::default();
+        let c = Counters::new(1);
         let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
         let paths = c.snapshot(&s).as_paths();
         assert_eq!(paths.len(), 12);
@@ -257,11 +333,12 @@ mod tests {
 
     #[test]
     fn snapshot_delta_is_fieldwise_and_saturating() {
-        let c = Counters::default();
+        let c = Counters::new(1);
         let s = Scheduler::new(1, SchedulerPolicy::LocalPriority);
-        c.tasks_spawned.fetch_add(5, Ordering::Relaxed);
+        c.lane(None).tasks_spawned.fetch_add(5, Ordering::Relaxed);
         let before = c.snapshot(&s);
-        c.tasks_spawned.fetch_add(7, Ordering::Relaxed);
+        let w0 = c.lane(Some(0));
+        w0.tasks_spawned.fetch_add(7, Ordering::Relaxed);
         c.parcels_sent.fetch_add(2, Ordering::Relaxed);
         let after = c.snapshot(&s);
         let d = after.delta(&before);

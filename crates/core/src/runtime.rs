@@ -14,12 +14,12 @@ use crate::introspect::{
     MetricsServer, Tracer,
 };
 use crate::lcos::future::{Future, Promise};
-use crate::perf::{Counters, WorkerStat};
+use crate::perf::Counters;
 use crate::sched::{Scheduler, SchedulerPolicy};
 use crate::task::{Priority, ScheduleHint, Task};
 use crate::topology::Topology;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -27,13 +27,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 thread_local! {
-    static CURRENT: RefCell<Option<WorkerCtx>> = const { RefCell::new(None) };
-}
-
-#[derive(Clone)]
-struct WorkerCtx {
-    core: Arc<Core>,
-    index: usize,
+    /// The core (by address) and worker index of the worker this thread
+    /// is, if any. The worker loop holds an `Arc` to that core for as long
+    /// as this is set, so the address cannot be reused meanwhile.
+    static CURRENT: Cell<Option<(*const Core, usize)>> = const { Cell::new(None) };
+    /// Tasks this thread is running, nested through help-execution.
+    static TASK_DEPTH: Cell<u32> = const { Cell::new(0) };
 }
 
 /// Shared runtime state: what worker threads and futures need to run and
@@ -45,9 +44,8 @@ pub(crate) struct Core {
     outstanding: AtomicUsize,
     idle_lock: Mutex<()>,
     idle_cond: Condvar,
+    /// Runtime counters, including the per-worker stats lanes.
     pub(crate) counters: Counters,
-    /// Per-worker execution stats feeding the per-worker counter paths.
-    pub(crate) worker_stats: Vec<WorkerStat>,
     /// Structured event recorder shared with the scheduler and the
     /// legacy `TaskTrace` facade.
     pub(crate) tracer: Arc<Tracer>,
@@ -75,6 +73,7 @@ impl Core {
         } else {
             crate::resilience::TaskFate::Run
         };
+        let depth = TASK_DEPTH.replace(TASK_DEPTH.get() + 1);
         let start = std::time::Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             match fate {
@@ -88,23 +87,21 @@ impl Core {
             task.run()
         }));
         let end = std::time::Instant::now();
+        TASK_DEPTH.set(depth);
+        let ns = end.duration_since(start).as_nanos() as u64;
         self.tracer.span(worker, EventKind::TaskRun, start, end, 0);
-        self.latency.record(
-            LatencyChannel::Task,
-            worker,
-            end.duration_since(start).as_nanos() as u64,
-        );
-        if let Some(ws) = self.worker_stats.get(worker) {
-            ws.tasks_executed.fetch_add(1, Ordering::Relaxed);
-            ws.busy_ns
-                .fetch_add(end.duration_since(start).as_nanos() as u64, Ordering::Relaxed);
+        self.latency.record(LatencyChannel::Task, worker, ns);
+        let ws = self.counters.lane(Some(worker));
+        ws.tasks_executed.fetch_add(1, Ordering::Relaxed);
+        // A nested task ran inside the outermost one's wall time, which
+        // is added once when that task ends.
+        if depth == 0 {
+            ws.busy_ns.fetch_add(ns, Ordering::Relaxed);
         }
-        // `tasks_executed` counts successful completions only, so the
+        // The locality's executed total subtracts panics, so the
         // conservation identity `spawned == executed + panicked` holds
         // once the runtime is idle.
-        if result.is_ok() {
-            self.counters.tasks_executed.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if result.is_err() {
             self.counters.tasks_panicked.fetch_add(1, Ordering::Relaxed);
         }
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -129,21 +126,23 @@ impl Core {
         }
     }
 
-    pub(crate) fn spawn(self: &Arc<Self>, task: Task) {
-        self.counters.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn spawn(&self, task: Task) {
+        let from_worker = current_worker_on(self);
+        self.counters
+            .lane(from_worker)
+            .tasks_spawned
+            .fetch_add(1, Ordering::Relaxed);
         self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let from_worker = current_worker_on(self).map(|ctx| ctx.index);
         self.sched.push(task, from_worker);
     }
 }
 
-fn current_worker_on(core: &Arc<Core>) -> Option<WorkerCtx> {
-    CURRENT.with(|c| {
-        c.borrow()
-            .as_ref()
-            .filter(|ctx| Arc::ptr_eq(&ctx.core, core))
-            .cloned()
-    })
+/// The calling thread's worker index, if it is one of `core`'s workers.
+fn current_worker_on(core: &Core) -> Option<usize> {
+    CURRENT
+        .get()
+        .filter(|&(c, _)| std::ptr::eq(c, core))
+        .map(|(_, index)| index)
 }
 
 /// Help-execute tasks (when called from a worker of `core`) or yield, until
@@ -157,13 +156,12 @@ pub(crate) fn help_until(core: Option<&Arc<Core>>, mut done: impl FnMut() -> boo
     // histogram and becomes a FutureWait span when tracing is on
     // (help-executed tasks nest inside it).
     let t0 = core.map(|_| std::time::Instant::now());
-    let ctx = core.and_then(current_worker_on);
-    let lane = ctx.as_ref().map(|c| c.index);
-    match ctx {
-        Some(ctx) => {
+    let lane = core.and_then(|c| current_worker_on(c));
+    match core.zip(lane) {
+        Some((core, index)) => {
             let mut spins = 0u32;
             while !done() {
-                if ctx.core.run_one(ctx.index) {
+                if core.run_one(index) {
                     spins = 0;
                 } else {
                     spins += 1;
@@ -279,8 +277,7 @@ impl RuntimeBuilder {
             outstanding: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cond: Condvar::new(),
-            counters: Counters::default(),
-            worker_stats: (0..self.workers).map(|_| WorkerStat::default()).collect(),
+            counters: Counters::new(self.workers),
             tracer: tracer.clone(),
             latency: latency.clone(),
             fault: RwLock::new(None),
@@ -323,9 +320,7 @@ const IDLE_SPINS: u32 = 64;
 const IDLE_YIELDS: u32 = 16;
 
 fn worker_loop(core: Arc<Core>, index: usize) {
-    CURRENT.with(|c| {
-        *c.borrow_mut() = Some(WorkerCtx { core: core.clone(), index });
-    });
+    CURRENT.set(Some((Arc::as_ptr(&core), index)));
     let mut idle = 0u32;
     loop {
         if core.run_one(index) {
@@ -345,7 +340,7 @@ fn worker_loop(core: Arc<Core>, index: usize) {
             core.sched.wait_for_work(index);
         }
     }
-    CURRENT.with(|c| *c.borrow_mut() = None);
+    CURRENT.set(None);
 }
 
 struct RuntimeInner {
@@ -582,7 +577,7 @@ impl Runtime {
     /// Index of the current worker thread if the caller is one of this
     /// runtime's workers.
     pub fn current_worker(&self) -> Option<usize> {
-        current_worker_on(&self.inner.core).map(|c| c.index)
+        current_worker_on(&self.inner.core)
     }
 
     /// Install (or with `None`, remove) a chaos
@@ -696,6 +691,45 @@ mod tests {
         let snap = rt.counters().snapshot(&rt.inner.core.sched);
         assert!(snap.tasks_spawned >= 10);
         assert!(snap.tasks_executed >= 10);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn help_executed_tasks_add_no_busy_time() {
+        // One worker: the outer task help-executes its child while it
+        // waits, so the child's time is already inside the outer task's.
+        use crate::introspect::{CounterPath, Instance};
+        let rt = Runtime::builder().worker_threads(1).build();
+        let busy = |rt: &Runtime| {
+            rt.counter_snapshot()
+                .get(&CounterPath::new(
+                    "threads",
+                    0,
+                    Instance::Worker(0),
+                    "time/busy-ns",
+                ))
+                .unwrap()
+        };
+        let before = busy(&rt);
+        let rt2 = rt.clone();
+        let wall_ns = rt
+            .async_task(move || {
+                let t0 = std::time::Instant::now();
+                rt2.async_task(|| std::thread::sleep(Duration::from_millis(30)))
+                    .get();
+                t0.elapsed().as_nanos() as u64
+            })
+            .get();
+        rt.wait_idle();
+        let spent = busy(&rt) - before;
+        assert!(
+            spent >= 30_000_000,
+            "the child's sleep is busy time: {spent}"
+        );
+        assert!(
+            spent <= wall_ns + 5_000_000,
+            "busy {spent} ns exceeds the outer task's wall time {wall_ns} ns"
+        );
         rt.shutdown();
     }
 

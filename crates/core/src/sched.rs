@@ -197,14 +197,14 @@ pub struct Scheduler {
     /// Per-thief victim visit order (NUMA-aware stealing: same-domain
     /// victims first, so stolen tasks stay close to their data).
     steal_order: Vec<Vec<usize>>,
-    /// Tasks pushed but not yet popped.
-    queued: AtomicUsize,
     /// Queued tasks acquirable by *any* worker (injectors, plus deques and
     /// inboxes when stealing is enabled). Counterpart of the per-worker
-    /// `private` counts; together they drive the park predicate.
+    /// `private` counts; together they drive the park predicate, and
+    /// their sum is the queue length (every push bumps exactly one of
+    /// them, every pop drops one).
     shared: AtomicUsize,
-    /// Monotone counters for [`crate::perf`].
-    pub(crate) stat_pushed: AtomicUsize,
+    // Monotone counters for [`crate::perf`]. Pushes are not counted
+    // here: every push is a spawn, which the runtime counts per worker.
     /// Successful steal operations (each may move a whole batch).
     pub(crate) stat_stolen: AtomicUsize,
     /// Victim queues probed while stealing (hits and misses).
@@ -254,9 +254,7 @@ impl Scheduler {
             injector: Injector::new(),
             sleepers: AtomicUsize::new(0),
             steal_order: cyclic_order(workers),
-            queued: AtomicUsize::new(0),
             shared: AtomicUsize::new(0),
-            stat_pushed: AtomicUsize::new(0),
             stat_stolen: AtomicUsize::new(0),
             stat_steal_attempts: AtomicUsize::new(0),
             stat_steal_batches: AtomicUsize::new(0),
@@ -336,13 +334,11 @@ impl Scheduler {
     /// caller *is* one of this scheduler's workers (lets unhinted tasks go
     /// to the caller's local deque, HPX's default child-stealing setup).
     pub fn push(&self, task: Task, from_worker: Option<usize>) {
-        self.stat_pushed.fetch_add(1, Ordering::Relaxed);
         // Count before publishing: a concurrent pop may take the task the
         // instant it lands, and its decrement must never underflow. The
-        // lane counter is likewise bumped before the enqueue — and before
-        // any park flag is read — so a worker that registers as a sleeper
-        // and then re-checks the counters can never miss this task.
-        self.queued.fetch_add(1, Ordering::SeqCst);
+        // lane counter is bumped before the enqueue — and before any park
+        // flag is read — so a worker that registers as a sleeper and then
+        // re-checks the counters can never miss this task.
         match task.hint {
             ScheduleHint::Pinned(w) => {
                 let w = w % self.queues.len();
@@ -422,14 +418,6 @@ impl Scheduler {
     /// Returns `None` when nothing is runnable anywhere (caller should
     /// park via [`Scheduler::wait_for_work`]).
     pub fn pop(&self, worker: usize) -> Option<Task> {
-        let got = self.pop_inner(worker);
-        if got.is_some() {
-            self.queued.fetch_sub(1, Ordering::SeqCst);
-        }
-        got
-    }
-
-    fn pop_inner(&self, worker: usize) -> Option<Task> {
         let q = &self.queues[worker];
         if let Some(t) = q.pinned.pop() {
             q.private.fetch_sub(1, Ordering::SeqCst);
@@ -551,12 +539,18 @@ impl Scheduler {
 
     /// Whether any task is queued (racy; for idle heuristics only).
     pub fn has_queued(&self) -> bool {
-        self.queued.load(Ordering::SeqCst) > 0
+        self.queued_len() > 0
     }
 
-    /// Number of queued (not yet popped) tasks.
+    /// Number of queued (not yet popped) tasks: the shared count plus
+    /// every worker's private count (racy while pushes are in flight).
     pub fn queued_len(&self) -> usize {
-        self.queued.load(Ordering::SeqCst)
+        self.shared.load(Ordering::SeqCst)
+            + self
+                .queues
+                .iter()
+                .map(|q| q.private.load(Ordering::SeqCst))
+                .sum::<usize>()
     }
 
     /// Whether some queued task is acquirable by `worker` right now (racy;
@@ -866,6 +860,7 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(ran.load(Ordering::Relaxed), 4 * N);
+        assert_eq!(s.queued_len(), 0, "lane counts drain to zero");
     }
 
     #[test]
@@ -1112,6 +1107,7 @@ mod tests {
             c.join().unwrap();
         }
         assert_eq!(ran.load(Ordering::Relaxed), 8 * N);
+        assert_eq!(s.queued_len(), 0, "lane counts drain to zero");
         // Sanity: batch stealing actually engaged under this much
         // contention (each consumer owns its deque, so steals use the
         // batched path).

@@ -5,11 +5,13 @@
 //! for the cold lanes this queue serves (pinned / high-priority tasks and
 //! external injection). This stand-in is a short-critical-section spinlock
 //! around a `VecDeque`, with a batch pop so callers can amortize one lock
-//! acquisition over many elements.
+//! acquisition over many elements. The length is mirrored in an atomic
+//! written under the lock, so popping an empty queue (the common case
+//! for those lanes) is one load and never touches the lock's cache line.
 
 use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A minimal test-and-test-and-set spinlock.
 struct SpinLock {
@@ -47,6 +49,8 @@ impl SpinLock {
 pub struct SegQueue<T> {
     lock: SpinLock,
     items: UnsafeCell<VecDeque<T>>,
+    /// `items.len()`, stored under `lock` after every change.
+    len: AtomicUsize,
 }
 
 unsafe impl<T: Send> Send for SegQueue<T> {}
@@ -57,13 +61,16 @@ impl<T> SegQueue<T> {
         SegQueue {
             lock: SpinLock::new(),
             items: UnsafeCell::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
         }
     }
 
     fn with<R>(&self, f: impl FnOnce(&mut VecDeque<T>) -> R) -> R {
         self.lock.acquire();
         // SAFETY: the spinlock serializes all access to `items`.
-        let r = f(unsafe { &mut *self.items.get() });
+        let items = unsafe { &mut *self.items.get() };
+        let r = f(items);
+        self.len.store(items.len(), Ordering::Release);
         self.lock.release();
         r
     }
@@ -73,14 +80,21 @@ impl<T> SegQueue<T> {
         self.with(|q| q.push_back(value));
     }
 
-    /// Take from the front.
+    /// Take from the front. An empty queue returns without locking; a
+    /// push racing with that check is seen by the next call.
     pub fn pop(&self) -> Option<T> {
+        if self.is_empty() {
+            return None;
+        }
         self.with(|q| q.pop_front())
     }
 
     /// Take up to half the queue (at least one element, at most `max`)
-    /// from the front in one lock acquisition.
+    /// from the front in one lock acquisition (none if it looks empty).
     pub fn pop_batch(&self, max: usize) -> Vec<T> {
+        if self.is_empty() {
+            return Vec::new();
+        }
         self.with(|q| {
             let n = q.len().div_ceil(2).min(max).min(q.len());
             q.drain(..n).collect()
@@ -88,7 +102,7 @@ impl<T> SegQueue<T> {
     }
 
     pub fn len(&self) -> usize {
-        self.with(|q| q.len())
+        self.len.load(Ordering::Acquire)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -132,6 +146,11 @@ mod tests {
         assert_eq!(b, vec![0, 1, 2, 3, 4]);
         assert_eq!(q.len(), 5);
         assert_eq!(q.pop_batch(2), vec![5, 6]);
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop_batch(32), vec![7, 8]);
+        assert_eq!(q.pop_batch(32), vec![9]);
+        assert!(q.is_empty());
+        assert!(q.pop_batch(32).is_empty());
     }
 
     #[test]
