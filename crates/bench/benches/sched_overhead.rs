@@ -172,6 +172,11 @@ impl LockPool {
 const SPAWN_DRAIN_TASKS: usize = 20_000;
 const PING_PONG_HOPS: usize = 1_000;
 const UTS_DEPTH: u32 = 11;
+/// Rows last milliseconds and the host's load drifts between them, so
+/// samples are gathered in `ROUNDS` passes over every row, `REPS` timed
+/// runs per row per pass: each row's median then spans the whole run
+/// instead of one window of it. Every row also reports its min..max.
+const ROUNDS: usize = 15;
 const REPS: usize = 3;
 
 /// Node count of the deterministic unbalanced tree: a node at depth `d`
@@ -232,11 +237,25 @@ fn rt_pingpong(rt: &Runtime, remaining: usize) {
     });
 }
 
-fn time_median<F: FnMut() -> Duration>(reps: usize, mut f: F) -> Duration {
-    let _ = f(); // warmup
-    let mut samples: Vec<Duration> = (0..reps).map(|_| f()).collect();
-    samples.sort();
-    samples[samples.len() / 2]
+/// Median, fastest and slowest of a row's samples, in seconds.
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Timing {
+    fn of(samples: &[f64]) -> Timing {
+        let mut v = samples.to_vec();
+        v.sort_by(f64::total_cmp);
+        Timing { median: v[v.len() / 2], min: v[0], max: v[v.len() - 1] }
+    }
+}
+
+/// One warmup run of `f`, then `REPS` timed runs appended to `samples`.
+fn time_reps<F: FnMut() -> Duration>(samples: &mut Vec<f64>, mut f: F) {
+    let _ = f();
+    samples.extend((0..REPS).map(|_| f().as_secs_f64()));
 }
 
 /// (utime + stime) of this process in clock ticks, from /proc/self/stat.
@@ -260,132 +279,116 @@ struct Record {
     engine: &'static str,
     workers: usize,
     items: usize,
-    secs: f64,
+    samples: Vec<f64>,
 }
 
 impl Record {
-    fn per_sec(&self) -> f64 {
-        self.items as f64 / self.secs
+    fn t(&self) -> Timing {
+        Timing::of(&self.samples)
     }
+
+    fn per_sec(&self) -> f64 {
+        self.items as f64 / self.t().median
+    }
+}
+
+/// The samples of row (`workload`, `engine`, `workers`), created empty
+/// on first use; rows keep their first-use order.
+fn row<'a>(
+    records: &'a mut Vec<Record>,
+    workload: &'static str,
+    engine: &'static str,
+    workers: usize,
+    items: usize,
+) -> &'a mut Vec<f64> {
+    let i = match records
+        .iter()
+        .position(|r| (r.workload, r.engine, r.workers) == (workload, engine, workers))
+    {
+        Some(i) => i,
+        None => {
+            records.push(Record { workload, engine, workers, items, samples: Vec::new() });
+            records.len() - 1
+        }
+    };
+    &mut records[i].samples
 }
 
 fn main() {
     let worker_counts = [1usize, 2, 4, 8];
     let mut records: Vec<Record> = Vec::new();
     let uts_nodes = uts_expected(UTS_DEPTH);
-    // Cumulative scheduler counters of the 4-worker runtime, captured
-    // after its UTS run (the steal-heavy workload).
+    // Cumulative scheduler counters of the last 4-worker runtime,
+    // captured after its UTS run (the steal-heavy workload).
     let mut loaded_snap: Option<parallex::perf::Snapshot> = None;
 
-    for &w in &worker_counts {
-        // ---- lock-based baseline ----
-        let pool = LockPool::new(w);
-        let d = time_median(REPS, || {
-            let t = Instant::now();
-            for _ in 0..SPAWN_DRAIN_TASKS {
-                pool.sched.spawn_external(Box::new(|_| {}));
-            }
-            pool.wait_idle();
-            t.elapsed()
-        });
-        records.push(Record {
-            workload: "spawn_drain",
-            engine: "lock_based",
-            workers: w,
-            items: SPAWN_DRAIN_TASKS,
-            secs: d.as_secs_f64(),
-        });
-        let d = time_median(REPS, || {
-            let t = Instant::now();
-            pool.sched.spawn_to(
-                0,
-                Box::new(move |c| lock_pingpong(c, PING_PONG_HOPS, w)),
-            );
-            pool.wait_idle();
-            t.elapsed()
-        });
-        records.push(Record {
-            workload: "ping_pong",
-            engine: "lock_based",
-            workers: w,
-            items: PING_PONG_HOPS,
-            secs: d.as_secs_f64(),
-        });
-        let d = time_median(REPS, || {
-            let count = Arc::new(AtomicUsize::new(0));
-            let c2 = count.clone();
-            let t = Instant::now();
-            pool.sched
-                .spawn_external(Box::new(move |c| lock_uts(c, UTS_DEPTH, &c2)));
-            pool.wait_idle();
-            let elapsed = t.elapsed();
-            assert_eq!(count.load(Ordering::Relaxed), uts_nodes);
-            elapsed
-        });
-        records.push(Record {
-            workload: "uts_tree",
-            engine: "lock_based",
-            workers: w,
-            items: uts_nodes,
-            secs: d.as_secs_f64(),
-        });
-        pool.shutdown();
-
-        // ---- Chase-Lev runtime ----
-        let rt = Runtime::builder().worker_threads(w).build();
-        let d = time_median(REPS, || {
-            let t = Instant::now();
-            for _ in 0..SPAWN_DRAIN_TASKS {
-                rt.spawn(|| {});
-            }
-            rt.wait_idle();
-            t.elapsed()
-        });
-        records.push(Record {
-            workload: "spawn_drain",
-            engine: "chase_lev",
-            workers: w,
-            items: SPAWN_DRAIN_TASKS,
-            secs: d.as_secs_f64(),
-        });
-        let d = time_median(REPS, || {
-            let rt2 = rt.clone();
-            let t = Instant::now();
-            rt.spawn_hinted(ScheduleHint::Worker(0), move || {
-                rt_pingpong(&rt2, PING_PONG_HOPS)
+    for _ in 0..ROUNDS {
+        for &w in &worker_counts {
+            // ---- lock-based baseline ----
+            let pool = LockPool::new(w);
+            time_reps(row(&mut records, "spawn_drain", "lock_based", w, SPAWN_DRAIN_TASKS), || {
+                let t = Instant::now();
+                for _ in 0..SPAWN_DRAIN_TASKS {
+                    pool.sched.spawn_external(Box::new(|_| {}));
+                }
+                pool.wait_idle();
+                t.elapsed()
             });
-            rt.wait_idle();
-            t.elapsed()
-        });
-        records.push(Record {
-            workload: "ping_pong",
-            engine: "chase_lev",
-            workers: w,
-            items: PING_PONG_HOPS,
-            secs: d.as_secs_f64(),
-        });
-        let d = time_median(REPS, || {
-            let count = Arc::new(AtomicUsize::new(0));
-            let c2 = count.clone();
-            let rt2 = rt.clone();
-            let t = Instant::now();
-            rt.spawn(move || rt_uts(&rt2, UTS_DEPTH, &c2));
-            rt.wait_idle();
-            let elapsed = t.elapsed();
-            assert_eq!(count.load(Ordering::Relaxed), uts_nodes);
-            elapsed
-        });
-        records.push(Record {
-            workload: "uts_tree",
-            engine: "chase_lev",
-            workers: w,
-            items: uts_nodes,
-            secs: d.as_secs_f64(),
-        });
-        if w == 4 {
-            loaded_snap = Some(rt.perf_snapshot());
+            time_reps(row(&mut records, "ping_pong", "lock_based", w, PING_PONG_HOPS), || {
+                let t = Instant::now();
+                pool.sched
+                    .spawn_to(0, Box::new(move |c| lock_pingpong(c, PING_PONG_HOPS, w)));
+                pool.wait_idle();
+                t.elapsed()
+            });
+            time_reps(row(&mut records, "uts_tree", "lock_based", w, uts_nodes), || {
+                let count = Arc::new(AtomicUsize::new(0));
+                let c2 = count.clone();
+                let t = Instant::now();
+                pool.sched
+                    .spawn_external(Box::new(move |c| lock_uts(c, UTS_DEPTH, &c2)));
+                pool.wait_idle();
+                let elapsed = t.elapsed();
+                assert_eq!(count.load(Ordering::Relaxed), uts_nodes);
+                elapsed
+            });
+            pool.shutdown();
+
+            // ---- Chase-Lev runtime ----
+            let rt = Runtime::builder().worker_threads(w).build();
+            time_reps(row(&mut records, "spawn_drain", "chase_lev", w, SPAWN_DRAIN_TASKS), || {
+                let t = Instant::now();
+                for _ in 0..SPAWN_DRAIN_TASKS {
+                    rt.spawn(|| {});
+                }
+                rt.wait_idle();
+                t.elapsed()
+            });
+            time_reps(row(&mut records, "ping_pong", "chase_lev", w, PING_PONG_HOPS), || {
+                let rt2 = rt.clone();
+                let t = Instant::now();
+                rt.spawn_hinted(ScheduleHint::Worker(0), move || {
+                    rt_pingpong(&rt2, PING_PONG_HOPS)
+                });
+                rt.wait_idle();
+                t.elapsed()
+            });
+            time_reps(row(&mut records, "uts_tree", "chase_lev", w, uts_nodes), || {
+                let count = Arc::new(AtomicUsize::new(0));
+                let c2 = count.clone();
+                let rt2 = rt.clone();
+                let t = Instant::now();
+                rt.spawn(move || rt_uts(&rt2, UTS_DEPTH, &c2));
+                rt.wait_idle();
+                let elapsed = t.elapsed();
+                assert_eq!(count.load(Ordering::Relaxed), uts_nodes);
+                elapsed
+            });
+            if w == 4 {
+                loaded_snap = Some(rt.perf_snapshot());
+            }
+            rt.shutdown();
         }
-        rt.shutdown();
     }
     let snap = loaded_snap.expect("4-worker config always runs");
 
@@ -416,18 +419,20 @@ fn main() {
 
     // ---- report ----
     println!(
-        "{:<12} {:<11} {:>3}w {:>10} items {:>12} {:>14}",
-        "workload", "engine", "", "", "median", "rate"
+        "{:<12} {:<11} {:>3}w {:>10} items {:>12} {:>14} {:>21}",
+        "workload", "engine", "", "", "median", "rate", "min..max"
     );
     for r in &records {
         println!(
-            "{:<12} {:<11} {:>3}w {:>10} items {:>10.3} ms {:>11.0} /s",
+            "{:<12} {:<11} {:>3}w {:>10} items {:>10.3} ms {:>11.0} /s {:>8.3}..{:.3} ms",
             r.workload,
             r.engine,
             r.workers,
             r.items,
-            r.secs * 1e3,
-            r.per_sec()
+            r.t().median * 1e3,
+            r.per_sec(),
+            r.t().min * 1e3,
+            r.t().max * 1e3
         );
     }
     for &w in &worker_counts {
@@ -452,15 +457,20 @@ fn main() {
     );
 
     // ---- BENCH_sched.json ----
-    let mut json = String::from("{\n  \"bench\": \"sched_overhead\",\n  \"results\": [\n");
+    let mut json = format!(
+        "{{\n  \"bench\": \"sched_overhead\",\n  \"samples_per_row\": {},\n  \"results\": [\n",
+        ROUNDS * REPS
+    );
     for (i, r) in records.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"workers\": {}, \"items\": {}, \"median_secs\": {:.6}, \"per_sec\": {:.1}}}{}\n",
+            "    {{\"workload\": \"{}\", \"engine\": \"{}\", \"workers\": {}, \"items\": {}, \"median_secs\": {:.6}, \"min_secs\": {:.6}, \"max_secs\": {:.6}, \"per_sec\": {:.1}}}{}\n",
             r.workload,
             r.engine,
             r.workers,
             r.items,
-            r.secs,
+            r.t().median,
+            r.t().min,
+            r.t().max,
             r.per_sec(),
             if i + 1 == records.len() { "" } else { "," }
         ));

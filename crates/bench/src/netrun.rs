@@ -344,11 +344,13 @@ fn recv_halo(
             return v;
         }
         match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(PortEvent::Deliver(p)) => {
-                assert_eq!(p.action, HALO_PUSH, "only halos cross the wire here");
-                let (got_side, got_step, v): (Side, u64, f64) =
-                    serialize::from_bytes(&p.payload).expect("decode halo payload");
-                inbox.insert((got_side, got_step), v);
+            Ok(PortEvent::Deliver(batch)) => {
+                for p in batch {
+                    assert_eq!(p.action, HALO_PUSH, "only halos cross the wire here");
+                    let (got_side, got_step, v): (Side, u64, f64) =
+                        serialize::from_bytes(&p.payload).expect("decode halo payload");
+                    inbox.insert((got_side, got_step), v);
+                }
             }
             Ok(PortEvent::PeerLost(peer)) => {
                 panic!("rank {rank}: lost peer {peer} while waiting for {side:?} step {step}")
@@ -663,8 +665,8 @@ fn coalescing_run(cfg: TcpConfig) -> CoalesceStats {
     let received = Arc::new(AtomicU64::new(0));
     let received2 = received.clone();
     let sink_b: PortSink = Arc::new(move |ev| {
-        if matches!(ev, PortEvent::Deliver(_)) {
-            received2.fetch_add(1, Ordering::Relaxed);
+        if let PortEvent::Deliver(batch) = ev {
+            received2.fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
     });
     let sink_a: PortSink = Arc::new(|_| {});
@@ -692,8 +694,8 @@ fn reliable_coalescing_run(cfg: TcpConfig) -> CoalesceStats {
     let received = Arc::new(AtomicU64::new(0));
     let received2 = received.clone();
     let sink_b: PortSink = Arc::new(move |ev| {
-        if matches!(ev, PortEvent::Deliver(_)) {
-            received2.fetch_add(1, Ordering::Relaxed);
+        if let PortEvent::Deliver(batch) = ev {
+            received2.fetch_add(batch.len() as u64, Ordering::Relaxed);
         }
     });
     let sink_a: PortSink = Arc::new(|_| {});

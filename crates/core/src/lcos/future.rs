@@ -18,10 +18,11 @@
 //! callback inline.
 
 use crate::error::{Error, Result};
-use crate::runtime::{help_until, Core};
+use crate::runtime::{help_or_park_until, Core};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 type Callback<T> = Box<dyn FnOnce(Result<T>) + Send + 'static>;
 
@@ -36,7 +37,8 @@ enum Dispatch {
 
 enum State<T> {
     /// Not yet completed; at most one continuation may be registered.
-    Pending { cb: Option<(Callback<T>, Dispatch)> },
+    /// `waiters` are non-worker threads parked in [`Future::wait`].
+    Pending { cb: Option<(Callback<T>, Dispatch)>, waiters: Vec<Thread> },
     /// Completed, value not yet consumed.
     Ready(Result<T>),
     /// Value handed to `get` or a continuation.
@@ -55,25 +57,42 @@ pub(crate) struct Shared<T> {
 }
 
 impl<T: Send + 'static> Shared<T> {
-    #[allow(clippy::single_match)] // the no-op arm documents the when_any race
     fn complete(self: &Arc<Self>, res: Result<T>) {
         let mut st = self.state.lock();
-        match &mut *st {
-            State::Pending { cb } => match cb.take() {
-                Some((cb, how)) => {
-                    *st = State::Consumed;
-                    drop(st);
-                    self.completed.store(true, Ordering::Release);
-                    self.run_continuation(cb, how, res);
-                }
-                None => {
-                    *st = State::Ready(res);
-                    drop(st);
-                    self.completed.store(true, Ordering::Release);
-                }
-            },
+        let State::Pending { cb, waiters } = &mut *st else {
             // Already completed (e.g. a when_any race lost): drop `res`.
-            _ => {}
+            return;
+        };
+        let waiters = std::mem::take(waiters);
+        let continuation = match cb.take() {
+            Some(cb) => {
+                *st = State::Consumed;
+                Some((cb, res))
+            }
+            None => {
+                *st = State::Ready(res);
+                None
+            }
+        };
+        drop(st);
+        self.completed.store(true, Ordering::Release);
+        for t in waiters {
+            t.unpark();
+        }
+        if let Some(((cb, how), res)) = continuation {
+            self.run_continuation(cb, how, res);
+        }
+    }
+
+    /// Register the calling thread to be unparked on completion; false
+    /// if the result is already being set.
+    fn add_waiter(&self) -> bool {
+        match &mut *self.state.lock() {
+            State::Pending { waiters, .. } => {
+                waiters.push(std::thread::current());
+                true
+            }
+            _ => false,
         }
     }
 
@@ -113,7 +132,7 @@ impl<T: Send + 'static> Promise<T> {
     fn make(core: Option<Arc<Core>>) -> Promise<T> {
         Promise {
             shared: Arc::new(Shared {
-                state: Mutex::new(State::Pending { cb: None }),
+                state: Mutex::new(State::Pending { cb: None, waiters: Vec::new() }),
                 completed: AtomicBool::new(false),
                 core,
             }),
@@ -182,12 +201,15 @@ impl<T: Send + 'static> Future<T> {
         self.shared.completed.load(Ordering::Acquire)
     }
 
-    /// Block until ready (help-executing if called from a worker).
+    /// Block until ready: help-executing if called from a worker,
+    /// parked until the completing thread unparks it otherwise.
     pub fn wait(&self) {
-        let shared = self.shared.clone();
-        help_until(self.shared.core.as_ref(), move || {
-            shared.completed.load(Ordering::Acquire)
-        });
+        let shared = &self.shared;
+        help_or_park_until(
+            shared.core.as_ref(),
+            || shared.completed.load(Ordering::Acquire),
+            &|| shared.add_waiter(),
+        );
     }
 
     /// Wait and take the value.
@@ -235,10 +257,11 @@ impl<T: Send + 'static> Future<T> {
             match std::mem::replace(&mut *st, State::Consumed) {
                 State::Ready(res) => Some(res),
                 State::Consumed => panic!("future value already consumed"),
-                State::Pending { cb: existing } => {
+                State::Pending { cb: existing, waiters } => {
                     assert!(existing.is_none(), "only one continuation per future");
                     *st = State::Pending {
                         cb: Some((Box::new(cb.take().expect("cb present")), how)),
+                        waiters,
                     };
                     None
                 }
@@ -309,7 +332,8 @@ impl<T: Clone + Send + 'static> Clone for SharedFuture<T> {
 type SharedCallback<T> = Box<dyn FnOnce(Result<T>) + Send + 'static>;
 
 enum SharedState<T> {
-    Pending(Vec<SharedCallback<T>>),
+    /// Continuations to run, and non-worker threads parked in `wait`.
+    Pending { cbs: Vec<SharedCallback<T>>, waiters: Vec<Thread> },
     Ready(Result<T>),
 }
 
@@ -323,7 +347,7 @@ impl<T: Clone + Send + 'static> SharedInner<T> {
     fn result(&self) -> Result<T> {
         match &*self.state.lock() {
             SharedState::Ready(r) => r.clone(),
-            SharedState::Pending(_) => unreachable!("checked completed first"),
+            SharedState::Pending { .. } => unreachable!("checked completed first"),
         }
     }
 }
@@ -332,22 +356,27 @@ impl<T: Clone + Send + 'static> Future<T> {
     /// Convert into a multi-consumer [`SharedFuture`].
     pub fn share(self) -> SharedFuture<T> {
         let inner = Arc::new(SharedInner {
-            state: Mutex::new(SharedState::Pending(Vec::new())),
+            state: Mutex::new(SharedState::Pending { cbs: Vec::new(), waiters: Vec::new() }),
             completed: AtomicBool::new(false),
             core: self.core(),
         });
         let inner2 = inner.clone();
         self.on_complete(move |res| {
-            let callbacks = {
+            let (callbacks, waiters) = {
                 let mut st = inner2.state.lock();
-                let cbs = match &mut *st {
-                    SharedState::Pending(cbs) => std::mem::take(cbs),
-                    SharedState::Ready(_) => Vec::new(),
+                let taken = match &mut *st {
+                    SharedState::Pending { cbs, waiters } => {
+                        (std::mem::take(cbs), std::mem::take(waiters))
+                    }
+                    SharedState::Ready(_) => (Vec::new(), Vec::new()),
                 };
                 *st = SharedState::Ready(res.clone());
                 inner2.completed.store(true, Ordering::Release);
-                cbs
+                taken
             };
+            for t in waiters {
+                t.unpark();
+            }
             for cb in callbacks {
                 cb(res.clone());
             }
@@ -362,12 +391,21 @@ impl<T: Clone + Send + 'static> SharedFuture<T> {
         self.inner.completed.load(Ordering::Acquire)
     }
 
-    /// Block until ready (help-executing from workers).
+    /// Block until ready: help-executing from workers, parked until
+    /// completion unparks it on other threads.
     pub fn wait(&self) {
-        let inner = self.inner.clone();
-        help_until(self.inner.core.as_ref(), move || {
-            inner.completed.load(Ordering::Acquire)
-        });
+        let inner = &self.inner;
+        help_or_park_until(
+            inner.core.as_ref(),
+            || inner.completed.load(Ordering::Acquire),
+            &|| match &mut *inner.state.lock() {
+                SharedState::Pending { waiters, .. } => {
+                    waiters.push(std::thread::current());
+                    true
+                }
+                SharedState::Ready(_) => false,
+            },
+        );
     }
 
     /// Wait and clone the value out; unlike [`Future::get`] this can be
@@ -410,7 +448,7 @@ impl<T: Clone + Send + 'static> SharedFuture<T> {
         let immediate = {
             let mut st = self.inner.state.lock();
             match &mut *st {
-                SharedState::Pending(cbs) => {
+                SharedState::Pending { cbs, .. } => {
                     cbs.push(Box::new(run.take().expect("run present")));
                     None
                 }
@@ -743,6 +781,47 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(all.get(), vec![0, 10, 20]);
+        rt.shutdown();
+    }
+
+    #[test]
+    fn completion_on_a_plain_thread_unparks_a_waiting_thread() {
+        // A setter thread spins for a varying time before completing, so
+        // completion lands before, during and after the waiter's
+        // registration. A lost unpark leaves the waiter parked forever,
+        // which the watchdog turns into a failure.
+        let rt = Runtime::builder().worker_threads(1).build();
+        let (to_setter, work) = std::sync::mpsc::channel::<(Promise<u32>, u32)>();
+        let setter = std::thread::spawn(move || {
+            for (p, spins) in work {
+                for _ in 0..spins {
+                    std::hint::spin_loop();
+                }
+                p.set_value(spins);
+            }
+        });
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let rt2 = rt.clone();
+        let waiter = std::thread::spawn(move || {
+            for round in 0..2000u32 {
+                let spins = (round * 37) % 4000;
+                // Detached and runtime-attached, plain and shared.
+                let mut p = if round % 2 == 0 { Promise::new() } else { rt2.make_promise() };
+                let f = p.future();
+                to_setter.send((p, spins)).unwrap();
+                if round % 4 < 2 {
+                    assert_eq!(f.get(), spins);
+                } else {
+                    assert_eq!(f.share().get(), spins);
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("a waiter stayed parked after its future completed");
+        waiter.join().unwrap();
+        setter.join().unwrap();
         rt.shutdown();
     }
 

@@ -378,7 +378,7 @@ impl ClusterShared {
             self.transport.read().port(parcel.source as usize)
         };
         let Some(port) = port else {
-            ClusterShared::deliver(self, parcel);
+            ClusterShared::deliver(self, vec![parcel]);
             return;
         };
         let source = parcel.source;
@@ -400,18 +400,26 @@ impl ClusterShared {
         }
     }
 
-    fn deliver(self: &Arc<Self>, parcel: Parcel) {
-        let Some(dest) = self.localities.get(parcel.dest_locality as usize).cloned() else {
-            eprintln!("parallex: dropping parcel to unknown locality {}", parcel.dest_locality);
-            return;
-        };
-        let shared = self.clone();
-        let dest2 = dest.clone();
-        let task = Task::new(move || {
-            shared.handle(dest2.clone(), parcel);
-        })
-        .with_priority(Priority::High);
-        dest.runtime.spawn_task(task);
+    /// Enter a batch of inbound parcels into the delivery path: one
+    /// high-priority task per parcel, each run of parcels bound for the
+    /// same locality enqueued with one scheduler push.
+    fn deliver(self: &Arc<Self>, parcels: Vec<Parcel>) {
+        let mut run: Vec<Task> = Vec::with_capacity(parcels.len());
+        let mut run_dest: Option<Arc<Locality>> = None;
+        for parcel in parcels {
+            let Some(dest) = self.localities.get(parcel.dest_locality as usize).cloned() else {
+                eprintln!("parallex: dropping parcel to unknown locality {}", parcel.dest_locality);
+                continue;
+            };
+            if let Some(prev) = run_dest.replace(dest.clone()).filter(|p| p.id != dest.id) {
+                prev.runtime.core().spawn_batch(std::mem::take(&mut run));
+            }
+            let shared = self.clone();
+            run.push(Task::new(move || shared.handle(dest, parcel)).with_priority(Priority::High));
+        }
+        if let Some(dest) = run_dest {
+            dest.runtime.core().spawn_batch(run);
+        }
     }
 
     fn handle(self: &Arc<Self>, dest: Arc<Locality>, parcel: Parcel) {
@@ -560,7 +568,7 @@ impl Cluster {
         Arc::new(move |ev| {
             let Some(shared) = weak.upgrade() else { return };
             match ev {
-                PortEvent::Deliver(p) => ClusterShared::deliver(&shared, p),
+                PortEvent::Deliver(batch) => ClusterShared::deliver(&shared, batch),
                 PortEvent::PeerLost(peer) => {
                     if let Some(loc) = owner.and_then(|i| shared.localities.get(i)) {
                         loc.fail_pending_to(peer);

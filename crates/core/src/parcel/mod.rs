@@ -7,6 +7,14 @@
 //! [`DelayFn`] injects per-parcel network latency so the distributed
 //! experiments of the paper's Fig. 3 run against a modeled interconnect
 //! (see `parallex-netsim`).
+//!
+//! Inbound parcels travel up the port stack in batches
+//! ([`PortEvent::Deliver`] carries a `Vec`): the TCP port emits one batch
+//! per socket read, the reliable layer dedups a batch under one lock and
+//! forwards the fresh part as one batch, and the cluster turns it into
+//! one high-priority task per parcel enqueued with a single scheduler
+//! push. Per-parcel work (decode, checksum, handler) stays per parcel;
+//! locks, counter updates and wakes are paid per read.
 
 pub mod frame;
 pub mod serialize;
@@ -125,15 +133,20 @@ pub type DelayFn = Arc<dyn Fn(&Parcel) -> Duration + Send + Sync>;
 /// notifications.
 #[derive(Debug)]
 pub enum PortEvent {
-    /// A parcel arrived and should enter the delivery path.
-    Deliver(Parcel),
+    /// Parcels arrived and should enter the delivery path, in wire
+    /// order. A transport hands over everything one read decoded as one
+    /// batch, so the layers above pay their locks and wakes once per
+    /// read rather than once per parcel; the in-process port sends
+    /// batches of one.
+    Deliver(Vec<Parcel>),
     /// The connection to this peer locality is gone; outstanding requests
     /// to it will never be answered.
     PeerLost(u32),
 }
 
 /// Sink invoked by a parcelport for every [`PortEvent`]; must be cheap
-/// and non-blocking (ports call it from reader threads).
+/// and non-blocking (ports call it from reader threads). A sink that
+/// counts parcels must count each batch's `len()`, not events.
 pub type PortSink = Arc<dyn Fn(PortEvent) + Send + Sync>;
 
 /// A transport that moves parcels between localities — Fig. 1's
@@ -195,7 +208,7 @@ impl Parcelport for InProcessParcelport {
         use std::sync::atomic::Ordering;
         self.parcels.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(parcel.wire_bytes() as u64, Ordering::Relaxed);
-        (self.sink)(PortEvent::Deliver(parcel));
+        (self.sink)(PortEvent::Deliver(vec![parcel]));
         Ok(())
     }
 

@@ -22,11 +22,16 @@
 //!
 //! Inbound, an accept thread performs a 4-byte hello handshake (the
 //! connecting locality announces its id) and spawns a reader that
-//! re-frames the byte stream via [`frame::decode`] and forwards each
-//! parcel to the [`PortSink`]. EOF or an I/O error on a peer's stream
-//! surfaces as [`PortEvent::PeerLost`], and all queued/future sends to
-//! that peer fail with [`Error::PeerLost`] — callers never hang on a
-//! dead node.
+//! re-frames the byte stream via [`frame::decode`]. Each read (up to
+//! 64 KiB) is decoded in place with a cursor, and the buffer is
+//! compacted once, keeping only a frame split across reads. Everything
+//! the read held goes to the [`PortSink`] as one [`PortEvent::Deliver`]
+//! batch in wire order, so a read of many small frames costs O(bytes)
+//! to decode and one sink call. A corrupt frame ends the connection
+//! after the good frames ahead of it in the same read are delivered.
+//! EOF or an I/O error on a peer's stream surfaces as
+//! [`PortEvent::PeerLost`], and all queued/future sends to that peer
+//! fail with [`Error::PeerLost`] — callers never hang on a dead node.
 
 use super::frame;
 use super::{Parcel, Parcelport, PortEvent, PortSink};
@@ -434,6 +439,23 @@ fn accept_loop(
     }
 }
 
+/// Decode every whole frame at the front of `data` into `batch`,
+/// advancing a cursor instead of shifting the buffer per frame. Returns
+/// the bytes consumed and, if decoding stopped at a corrupt frame, why.
+fn decode_frames(data: &[u8], batch: &mut Vec<Parcel>) -> (usize, Option<String>) {
+    let mut at = 0usize;
+    loop {
+        match frame::decode(&data[at..]) {
+            Ok((parcel, used)) => {
+                at += used;
+                batch.push(parcel);
+            }
+            Err(frame::DecodeError::Incomplete { .. }) => return (at, None),
+            Err(frame::DecodeError::Malformed(m)) => return (at, Some(m)),
+        }
+    }
+}
+
 fn reader_loop(mut stream: TcpStream, peer_id: u32, inner: Arc<Inner>) {
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 64 << 10];
@@ -444,29 +466,28 @@ fn reader_loop(mut stream: TcpStream, peer_id: u32, inner: Arc<Inner>) {
         };
         inner.stats.bytes_received.fetch_add(n as u64, Ordering::Relaxed);
         buf.extend_from_slice(&chunk[..n]);
-        loop {
-            match frame::decode(&buf) {
-                Ok((parcel, used)) => {
-                    buf.drain(..used);
-                    // Emit before counting: once `parcels_received` matches
-                    // the sender's `parcels_sent`, every parcel is
-                    // guaranteed to have reached the sink (the cluster's
-                    // idle check relies on this ordering).
-                    inner.emit(PortEvent::Deliver(parcel));
-                    inner.stats.parcels_received.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(frame::DecodeError::Incomplete { .. }) => break,
-                Err(frame::DecodeError::Malformed(m)) => {
-                    eprintln!(
-                        "parallex: dropping corrupt connection from locality {peer_id}: {m}"
-                    );
-                    let _ = stream.shutdown(Shutdown::Both);
-                    inner.close_peer_queue(peer_id);
-                    inner.mark_peer_lost();
-                    inner.emit(PortEvent::PeerLost(peer_id));
-                    return;
-                }
-            }
+        let mut batch = Vec::new();
+        let (used, malformed) = decode_frames(&buf, &mut batch);
+        // Compact once per read: only a frame split across reads stays.
+        buf.drain(..used);
+        if !batch.is_empty() {
+            // Emit before counting: once `parcels_received` matches the
+            // sender's `parcels_sent`, every parcel is guaranteed to have
+            // reached the sink (the cluster's idle check relies on this
+            // ordering).
+            let k = batch.len() as u64;
+            inner.emit(PortEvent::Deliver(batch));
+            inner.stats.parcels_received.fetch_add(k, Ordering::Relaxed);
+        }
+        if let Some(m) = malformed {
+            // The good frames ahead of the corrupt one were delivered
+            // above; nothing after it can be trusted.
+            eprintln!("parallex: dropping corrupt connection from locality {peer_id}: {m}");
+            let _ = stream.shutdown(Shutdown::Both);
+            inner.close_peer_queue(peer_id);
+            inner.mark_peer_lost();
+            inner.emit(PortEvent::PeerLost(peer_id));
+            return;
         }
     }
     // EOF or I/O error: the peer is gone. Fail our sends toward it and
@@ -563,7 +584,7 @@ mod tests {
         let mut got = Vec::new();
         while got.len() < n {
             match rx.recv_timeout(Duration::from_secs(5)).expect("parcel arrives") {
-                PortEvent::Deliver(p) => got.push(p),
+                PortEvent::Deliver(batch) => got.extend(batch),
                 PortEvent::PeerLost(l) => panic!("unexpected peer loss of {l}"),
             }
         }
@@ -582,6 +603,12 @@ mod tests {
             assert_eq!(p.action, 7);
         }
         assert_eq!(a.parcels_sent(), 20);
+        // The reader counts a batch only after the sink returns (the idle
+        // ledger's ordering), so the count may trail the last parcel.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.parcels_received() < 20 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         assert_eq!(b.parcels_received(), 20);
         a.shutdown();
         b.shutdown();
@@ -607,6 +634,101 @@ mod tests {
         a.shutdown();
         assert_eq!(a.writes(), 4, "16 frames in writes of at most 4 frames each");
         assert_eq!(a.bytes_sent(), 16 * frame_len as u64);
+        b.shutdown();
+    }
+
+    #[test]
+    fn one_read_of_many_frames_arrives_as_an_ordered_batch() {
+        // B's sink checks the idle-ledger ordering on every event: the
+        // received count may only include parcels the sink already saw.
+        let n = 64usize;
+        let b_port: Arc<std::sync::OnceLock<std::sync::Weak<TcpParcelport>>> = Arc::default();
+        let (tx, rx) = mpsc::channel();
+        let ledger_ok = Arc::new(AtomicBool::new(true));
+        let (cell, ok) = (b_port.clone(), ledger_ok.clone());
+        let seen = AtomicU64::new(0);
+        let sink_b: PortSink = Arc::new(move |ev| {
+            if let PortEvent::Deliver(batch) = &ev {
+                if let Some(b) = cell.get().and_then(std::sync::Weak::upgrade) {
+                    if b.parcels_received() != seen.load(Ordering::SeqCst) {
+                        ok.store(false, Ordering::SeqCst);
+                    }
+                }
+                seen.fetch_add(batch.len() as u64, Ordering::SeqCst);
+            }
+            let _ = tx.send(ev);
+        });
+        let a = TcpParcelport::bind(0, loopback(), Arc::new(|_| {}), TcpConfig::default()).unwrap();
+        let b = TcpParcelport::bind(1, loopback(), sink_b, TcpConfig::default()).unwrap();
+        b_port.set(Arc::downgrade(&b)).unwrap();
+        a.connect_peer(1, b.local_addr()).unwrap();
+        // Queue every frame in one critical section: the writer drains
+        // them into one write, which the reader takes in few reads.
+        let peer = a.inner.peers.read()[&1].clone();
+        {
+            let mut q = peer.shared.state.lock();
+            for i in 0..n {
+                q.push(&parcel(1, &[i as u8; 8]));
+            }
+        }
+        peer.shared.ready.notify_one();
+        let mut got = Vec::new();
+        let mut events = 0usize;
+        while got.len() < n {
+            match rx.recv_timeout(Duration::from_secs(5)).expect("parcels arrive") {
+                PortEvent::Deliver(batch) => {
+                    events += 1;
+                    got.extend(batch);
+                }
+                PortEvent::PeerLost(l) => panic!("unexpected peer loss of {l}"),
+            }
+        }
+        assert!(got.iter().enumerate().all(|(i, p)| p.payload[0] == i as u8), "in order");
+        assert!(events < n, "{n} frames from one write arrived in {events} separate events");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while b.parcels_received() < n as u64 {
+            assert!(Instant::now() < deadline, "parcels_received never reached {n}");
+            std::thread::yield_now();
+        }
+        assert_eq!(b.parcels_received(), n as u64);
+        assert!(ledger_ok.load(Ordering::SeqCst), "parcels counted before the sink saw them");
+        a.shutdown();
+        b.shutdown();
+    }
+
+    #[test]
+    fn good_frames_ahead_of_a_corrupt_one_are_delivered_before_peer_lost() {
+        let (tx, rx) = mpsc::channel();
+        let sink_b: PortSink = Arc::new(move |ev| {
+            let _ = tx.send(ev);
+        });
+        let b = TcpParcelport::bind(1, loopback(), sink_b, TcpConfig::default()).unwrap();
+        // A raw peer: hello as locality 5, then three good frames and a
+        // frame with a bad magic, all in one write.
+        let mut raw = TcpStream::connect(b.local_addr()).unwrap();
+        let mut bytes = 5u32.to_le_bytes().to_vec();
+        for i in 0..3u8 {
+            frame::encode(&parcel(1, &[i; 4]), &mut bytes);
+        }
+        let mut bad = Vec::new();
+        frame::encode(&parcel(1, &[9; 4]), &mut bad);
+        bad[0] = b'X';
+        bytes.extend_from_slice(&bad);
+        raw.write_all(&bytes).unwrap();
+        let mut got = Vec::new();
+        loop {
+            match rx.recv_timeout(Duration::from_secs(5)).expect("events arrive") {
+                PortEvent::Deliver(batch) => got.extend(batch),
+                PortEvent::PeerLost(peer) => {
+                    assert_eq!(peer, 5);
+                    break;
+                }
+            }
+        }
+        let tags: Vec<u8> = got.iter().map(|p| p.payload[0]).collect();
+        assert_eq!(tags, vec![0, 1, 2], "the good frames come first, in order");
+        assert_eq!(b.parcels_received(), 3);
+        assert!(b.any_peer_lost());
         b.shutdown();
     }
 

@@ -27,13 +27,23 @@
 //! that can take far longer than the timeout — and their clock restarts
 //! with each advance. A carrier *below* the frontier that is still
 //! unacked was lost or corrupted; it times out on its own send time.
+//! The same rule bounds the maintenance tick: unacked carriers are kept
+//! per peer in seq order, and while a peer's frontier advanced within
+//! the timeout only the seqs up to it can be due, so only those are
+//! scanned; a peer whose acks stalled for a full timeout has every
+//! carrier scanned.
+//!
+//! Inbound, the layer takes the transport's batches whole: checksums
+//! and unwrapping run without the state lock, then acks, dedup and
+//! pending-ack bookkeeping for the batch run under one lock, and the
+//! fresh parcels go to the owner as one batch, in wire order.
 
 use crate::error::{Error, Result};
 use crate::parcel::frame::{fnv1a32, fnv1a32_with};
 use crate::parcel::{ActionId, Parcel, Parcelport, PortEvent, PortSink};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -127,7 +137,9 @@ fn rto_start(frontier: Option<&AckFrontier>, seq: u64, sent_at: Instant) -> Inst
 #[derive(Default)]
 struct RelState {
     next_seq: HashMap<u32, u64>,
-    unacked: HashMap<(u32, u64), Unacked>,
+    /// Carriers awaiting an ack, per peer, ordered by seq so a tick can
+    /// scan just the part of the window that can be due.
+    unacked: HashMap<u32, BTreeMap<u64, Unacked>>,
     frontier: HashMap<u32, AckFrontier>,
     recv: HashMap<u32, RecvWindow>,
     pending_acks: HashMap<u32, Vec<u64>>,
@@ -138,11 +150,42 @@ impl RelState {
     /// Declare `peer` dead and drop what was kept for it. Returns false
     /// if it already was.
     fn forget(&mut self, peer: u32) -> bool {
-        self.unacked.retain(|(p, _), _| *p != peer);
+        self.unacked.remove(&peer);
         self.pending_acks.remove(&peer);
         self.frontier.remove(&peer);
         self.dead_peers.insert(peer)
     }
+
+    /// Apply an ack from `peer` listing `seqs` (checksum already
+    /// verified). Only an ack of new data advances the frontier and
+    /// restarts the peer's clock.
+    fn ack(&mut self, peer: u32, seqs: &[u8]) {
+        let Some(carriers) = self.unacked.get_mut(&peer) else { return };
+        let mut newest = None;
+        for chunk in seqs.chunks_exact(8) {
+            let seq = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            if carriers.remove(&seq).is_some() {
+                newest = newest.max(Some(seq));
+            }
+        }
+        if let Some(seq) = newest {
+            let at = Instant::now();
+            let f = self.frontier.entry(peer).or_insert(AckFrontier { seq, at });
+            f.seq = f.seq.max(seq);
+            f.at = at;
+        }
+    }
+}
+
+/// One inbound parcel, classified and checksummed before the state lock
+/// is taken.
+enum Inbound {
+    /// An ack parcel whose checksum holds.
+    Ack(Parcel),
+    /// An unwrapped data parcel and the seq its carrier bore.
+    Data { peer: u32, seq: u64, parcel: Parcel },
+    /// Traffic that bypasses the layer, forwarded untouched.
+    Pass(Parcel),
 }
 
 /// The reliability decorator. Wraps any [`Parcelport`]; hand its
@@ -262,7 +305,7 @@ impl ReliableParcelport {
 
     /// Data parcels sent but not yet acknowledged.
     pub fn unacked(&self) -> usize {
-        self.state.lock().unacked.len()
+        self.state.lock().unacked.values().map(BTreeMap::len).sum()
     }
 
     /// True once any peer has been declared lost (retransmits exhausted
@@ -328,59 +371,39 @@ impl ReliableParcelport {
         ))
     }
 
+    /// Handle one inbound event. A batch is checked without the lock,
+    /// then acked, deduped and recorded under one `state` lock; its fresh
+    /// parcels go to the owner as one batch, in wire order.
     fn on_inbound(&self, ev: PortEvent) {
-        match ev {
-            PortEvent::Deliver(p) if p.action == RELIABLE_ACK => {
-                // Acks carry a trailing checksum over the seq list: a
-                // bit-flipped ack acknowledging the *wrong* sequence
-                // would silently lose a parcel forever. A rejected ack
-                // just means another retransmit round.
-                let buf = &p.payload[..];
-                let ok = buf.len() >= 4 && (buf.len() - 4) % 8 == 0 && {
-                    let (seqs, tail) = buf.split_at(buf.len() - 4);
-                    fnv1a32(seqs) == u32::from_le_bytes(tail.try_into().expect("4 bytes"))
-                };
-                if !ok {
-                    self.corrupt_drops.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let mut st = self.state.lock();
-                let mut newest = None;
-                for chunk in buf[..buf.len() - 4].chunks_exact(8) {
-                    let seq = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    if st.unacked.remove(&(p.source, seq)).is_some() {
-                        newest = newest.max(Some(seq));
-                    }
-                }
-                // Only acks of new data restart the peer's clock.
-                if let Some(seq) = newest {
-                    let at = Instant::now();
-                    let f = st.frontier.entry(p.source).or_insert(AckFrontier { seq, at });
-                    f.seq = f.seq.max(seq);
-                    f.at = at;
-                }
+        let batch = match ev {
+            PortEvent::Deliver(batch) => batch,
+            PortEvent::PeerLost(peer) => {
+                self.drop_peer_state(peer);
+                (self.owner)(PortEvent::PeerLost(peer));
+                return;
             }
-            PortEvent::Deliver(p) if p.action == RELIABLE_DATA => {
-                match Self::unwrap_carrier(&p) {
-                    Ok((seq, parcel)) => {
-                        let fresh = {
-                            let mut st = self.state.lock();
-                            // Always ack, even duplicates: the dup means
-                            // the sender missed (or has yet to see) an
-                            // earlier ack. The next tick sends the batch.
-                            st.pending_acks.entry(p.source).or_default().push(seq);
-                            st.recv.entry(p.source).or_default().record(seq)
-                        };
-                        if fresh {
-                            // Forward before counting so an idle check
-                            // can't observe "delivered" with the parcel
-                            // still outside the delivery path.
-                            (self.owner)(PortEvent::Deliver(parcel));
-                            self.data_delivered.fetch_add(1, Ordering::Release);
-                        } else {
-                            self.dup_drops.fetch_add(1, Ordering::Relaxed);
-                        }
+        };
+        let mut items = Vec::with_capacity(batch.len());
+        for p in batch {
+            match p.action {
+                RELIABLE_ACK => {
+                    // Acks carry a trailing checksum over the seq list: a
+                    // bit-flipped ack acknowledging the *wrong* sequence
+                    // would silently lose a parcel forever. A rejected
+                    // ack just means another retransmit round.
+                    let buf = &p.payload[..];
+                    let ok = buf.len() >= 4 && (buf.len() - 4) % 8 == 0 && {
+                        let (seqs, tail) = buf.split_at(buf.len() - 4);
+                        fnv1a32(seqs) == u32::from_le_bytes(tail.try_into().expect("4 bytes"))
+                    };
+                    if ok {
+                        items.push(Inbound::Ack(p));
+                    } else {
+                        self.corrupt_drops.fetch_add(1, Ordering::Relaxed);
                     }
+                }
+                RELIABLE_DATA => match Self::unwrap_carrier(&p) {
+                    Ok((seq, parcel)) => items.push(Inbound::Data { peer: p.source, seq, parcel }),
                     Err(true) => {
                         // Checksum mismatch: treat as a drop; no ack, so
                         // the sender retransmits the intact original.
@@ -392,13 +415,44 @@ impl ReliableParcelport {
                             p.source
                         );
                     }
+                },
+                _ => items.push(Inbound::Pass(p)),
+            }
+        }
+        let mut out = Vec::with_capacity(items.len());
+        let (mut fresh, mut dups) = (0u64, 0u64);
+        {
+            let mut st = self.state.lock();
+            for item in items {
+                match item {
+                    Inbound::Ack(p) => st.ack(p.source, &p.payload[..p.payload.len() - 4]),
+                    Inbound::Data { peer, seq, parcel } => {
+                        // Always ack, even duplicates: the dup means the
+                        // sender missed (or has yet to see) an earlier
+                        // ack. The next tick sends the batch.
+                        st.pending_acks.entry(peer).or_default().push(seq);
+                        if st.recv.entry(peer).or_default().record(seq) {
+                            out.push(parcel);
+                            fresh += 1;
+                        } else {
+                            dups += 1;
+                        }
+                    }
+                    Inbound::Pass(p) => out.push(p),
                 }
             }
-            PortEvent::Deliver(p) => (self.owner)(PortEvent::Deliver(p)),
-            PortEvent::PeerLost(peer) => {
-                self.drop_peer_state(peer);
-                (self.owner)(PortEvent::PeerLost(peer));
-            }
+        }
+        if dups > 0 {
+            self.dup_drops.fetch_add(dups, Ordering::Relaxed);
+        }
+        if !out.is_empty() {
+            // Forward before counting so an idle check can't observe
+            // "delivered" with the parcels still outside the delivery
+            // path.
+            (self.owner)(PortEvent::Deliver(out));
+        }
+        if fresh > 0 {
+            self.data_delivered.fetch_add(fresh, Ordering::Release);
         }
     }
 
@@ -426,15 +480,25 @@ impl ReliableParcelport {
             let rto = self.cfg.retransmit_timeout;
             let max = self.cfg.max_retransmits;
             let mut give_up: Vec<u32> = Vec::new();
-            for ((peer, seq), entry) in st.unacked.iter_mut() {
-                let start = rto_start(st.frontier.get(peer), *seq, entry.sent_at);
-                if now.duration_since(start) >= rto {
-                    if entry.attempts >= max {
-                        give_up.push(*peer);
-                    } else {
-                        entry.attempts += 1;
-                        entry.sent_at = now;
-                        resend.push(entry.parcel.clone());
+            for (peer, carriers) in st.unacked.iter_mut() {
+                let frontier = st.frontier.get(peer);
+                // While the frontier advanced less than `rto` ago, every
+                // carrier past it restarted its clock then (`rto_start`
+                // ≥ `f.at`), so only seqs up to the frontier can be due.
+                let window = match frontier {
+                    Some(f) if now.duration_since(f.at) < rto => carriers.range_mut(..=f.seq),
+                    _ => carriers.range_mut(..),
+                };
+                for (seq, entry) in window {
+                    let start = rto_start(frontier, *seq, entry.sent_at);
+                    if now.duration_since(start) >= rto {
+                        if entry.attempts >= max {
+                            give_up.push(*peer);
+                        } else {
+                            entry.attempts += 1;
+                            entry.sent_at = now;
+                            resend.push(entry.parcel.clone());
+                        }
                     }
                 }
             }
@@ -496,8 +560,8 @@ impl Parcelport for ReliableParcelport {
             let seq = *seq_ref;
             *seq_ref += 1;
             let wrapped = self.wrap(&parcel, seq);
-            st.unacked.insert(
-                (peer, seq),
+            st.unacked.entry(peer).or_default().insert(
+                seq,
                 Unacked { parcel: wrapped.clone(), sent_at: Instant::now(), attempts: 0 },
             );
             wrapped
@@ -577,7 +641,7 @@ mod tests {
         }
         fn send(&self, parcel: Parcel) -> Result<()> {
             let sink = self.sink.lock().clone().unwrap();
-            sink(PortEvent::Deliver(parcel));
+            sink(PortEvent::Deliver(vec![parcel]));
             Ok(())
         }
         fn pending(&self) -> usize {
@@ -596,8 +660,8 @@ mod tests {
         let seen: Arc<Mutex<Vec<Parcel>>> = Arc::new(Mutex::new(Vec::new()));
         let seen2 = seen.clone();
         let owner: PortSink = Arc::new(move |ev| {
-            if let PortEvent::Deliver(p) = ev {
-                seen2.lock().push(p);
+            if let PortEvent::Deliver(batch) = ev {
+                seen2.lock().extend(batch);
             }
         });
         let rel = ReliableParcelport::new(0, cfg, owner);
@@ -642,12 +706,39 @@ mod tests {
         let p = parcel(0, 0, 0x42, b"one", None);
         let w = rel.wrap(&p, 0);
         let sink = rel.inbound_sink();
-        sink(PortEvent::Deliver(w.clone()));
-        sink(PortEvent::Deliver(w.clone()));
-        sink(PortEvent::Deliver(w));
+        sink(PortEvent::Deliver(vec![w.clone()]));
+        sink(PortEvent::Deliver(vec![w.clone()]));
+        sink(PortEvent::Deliver(vec![w]));
         assert_eq!(seen.lock().len(), 1, "exactly-once handoff");
         assert_eq!(rel.dup_drops(), 2);
         assert_eq!(rel.data_delivered(), 1);
+        rel.shutdown();
+    }
+
+    #[test]
+    fn batch_forwards_only_fresh_carriers_in_order() {
+        let (rel, seen) = rig(ReliableConfig::default());
+        let carrier = |seq: u64, tag: u8| rel.wrap(&parcel(0, 0, 0x42, &[tag], None), seq);
+        let sink = rel.inbound_sink();
+        sink(PortEvent::Deliver(vec![carrier(0, 0)]));
+        let mut corrupt = carrier(3, 0xc);
+        let mut bytes = corrupt.payload.to_vec();
+        *bytes.last_mut().unwrap() ^= 0x10;
+        corrupt.payload = Bytes::from(bytes);
+        // One event in: fresh 1, dup 0, corrupt 3, fresh 2, dup 1, fresh 4.
+        sink(PortEvent::Deliver(vec![
+            carrier(1, 1),
+            carrier(0, 0),
+            corrupt,
+            carrier(2, 2),
+            carrier(1, 1),
+            carrier(4, 4),
+        ]));
+        let tags: Vec<u8> = seen.lock().iter().map(|p| p.payload[0]).collect();
+        assert_eq!(tags, vec![0, 1, 2, 4], "fresh parcels only, in wire order");
+        assert_eq!(rel.data_delivered(), 4);
+        assert_eq!(rel.dup_drops(), 2);
+        assert_eq!(rel.corrupt_drops(), 1);
         rel.shutdown();
     }
 
@@ -724,7 +815,7 @@ mod tests {
     fn ack_from(peer: u32, seqs: &[u64]) -> PortEvent {
         let mut payload: Vec<u8> = seqs.iter().flat_map(|s| s.to_le_bytes()).collect();
         payload.extend_from_slice(&fnv1a32(&payload).to_le_bytes());
-        PortEvent::Deliver(parcel(peer, 0, RELIABLE_ACK, &payload, None))
+        PortEvent::Deliver(vec![parcel(peer, 0, RELIABLE_ACK, &payload, None)])
     }
 
     #[test]
@@ -749,6 +840,36 @@ mod tests {
         let resent = wire.sent.lock()[3].clone();
         let (seq, _) = ReliableParcelport::unwrap_carrier(&resent).unwrap();
         assert_eq!(seq, 1, "only the unacked carrier is resent");
+        rel.shutdown();
+    }
+
+    #[test]
+    fn carrier_past_a_stalled_frontier_is_retransmitted() {
+        // Seq 0 is acked, then the peer goes quiet: once its frontier has
+        // not moved for `retransmit_timeout`, the carriers past it are due
+        // too and the tick must scan them.
+        let rel = ReliableParcelport::new(
+            0,
+            ReliableConfig { retransmit_timeout: Duration::from_millis(20), ..ReliableConfig::default() },
+            Arc::new(|_| {}),
+        );
+        let wire = Arc::new(Recorder::default());
+        rel.attach_inner(wire.clone());
+        for i in 0..3u8 {
+            rel.send(parcel(0, 1, 0x42, &[i], None)).unwrap();
+        }
+        rel.inbound_sink()(ack_from(1, &[0]));
+        assert_eq!(rel.unacked(), 2);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while rel.retransmits() < 2 {
+            assert!(Instant::now() < deadline, "carriers past the frontier were never resent");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let resent: BTreeSet<u64> = wire.sent.lock()[3..5]
+            .iter()
+            .map(|c| ReliableParcelport::unwrap_carrier(c).unwrap().0)
+            .collect();
+        assert_eq!(resent, BTreeSet::from([1, 2]));
         rel.shutdown();
     }
 

@@ -413,6 +413,28 @@ impl Scheduler {
         }
     }
 
+    /// Enqueue a batch of unhinted high-priority tasks (one read's worth
+    /// of inbound parcels) with one shared-count add and one
+    /// `injector_high` lock, then wake up to `tasks.len()` parked
+    /// workers. The count is raised before the enqueue and before any
+    /// park flag is read, as in [`Scheduler::push`].
+    pub(crate) fn push_high_batch(&self, tasks: Vec<Task>) {
+        let k = tasks.len();
+        debug_assert!(tasks
+            .iter()
+            .all(|t| t.priority == Priority::High && matches!(t.hint, ScheduleHint::None)));
+        if k == 0 {
+            return;
+        }
+        self.shared.fetch_add(k, Ordering::SeqCst);
+        self.injector_high.push_batch(tasks);
+        for _ in 0..k {
+            if !self.notify_shared() {
+                break;
+            }
+        }
+    }
+
     /// Dequeue work for `worker`, in priority order: pinned, local high,
     /// global high, local (deque, then inbox), global injector, steal.
     /// Returns `None` when nothing is runnable anywhere (caller should
@@ -537,6 +559,12 @@ impl Scheduler {
         None
     }
 
+    /// Workers registered as parked or about to park (racy).
+    #[cfg(test)]
+    pub(crate) fn sleepers(&self) -> usize {
+        self.sleepers.load(Ordering::SeqCst)
+    }
+
     /// Whether any task is queued (racy; for idle heuristics only).
     pub fn has_queued(&self) -> bool {
         self.queued_len() > 0
@@ -627,21 +655,22 @@ impl Scheduler {
     }
 
     /// Wake some parked worker, if any, after enqueuing work anyone can
-    /// acquire. The sleeper count makes the common all-busy case a single
-    /// load (no syscall, no scan).
-    fn notify_shared(&self) {
+    /// acquire; returns whether one was woken. The sleeper count makes
+    /// the common all-busy case a single load (no syscall, no scan).
+    fn notify_shared(&self) -> bool {
         if self.sleepers.load(Ordering::SeqCst) == 0 {
-            return;
+            return false;
         }
         for (w, q) in self.queues.iter().enumerate() {
             if q.park.parked.swap(false, Ordering::SeqCst) {
                 self.wake_slot(w, &q.park);
-                return;
+                return true;
             }
         }
         // Every advertised sleeper was already claimed by another waker or
         // is aborting its park; each of those re-checks the counters after
         // our increment, so the new task cannot be lost.
+        false
     }
 
     /// Wake one parked worker, if any.

@@ -380,6 +380,12 @@ impl<T> Injector<T> {
         self.queue.push(value);
     }
 
+    /// Push every element of `values`, in order, under one lock (a
+    /// shim-only extension; upstream has no batch push).
+    pub fn push_batch(&self, values: impl IntoIterator<Item = T>) {
+        self.queue.push_batch(values);
+    }
+
     pub fn len(&self) -> usize {
         self.queue.len()
     }

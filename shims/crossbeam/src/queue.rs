@@ -80,6 +80,12 @@ impl<T> SegQueue<T> {
         self.with(|q| q.push_back(value));
     }
 
+    /// Append every element of `values` to the back, in order, in one
+    /// lock acquisition.
+    pub fn push_batch(&self, values: impl IntoIterator<Item = T>) {
+        self.with(|q| q.extend(values));
+    }
+
     /// Take from the front. An empty queue returns without locking; a
     /// push racing with that check is seen by the next call.
     pub fn pop(&self) -> Option<T> {
@@ -151,6 +157,19 @@ mod tests {
         assert_eq!(q.pop_batch(32), vec![9]);
         assert!(q.is_empty());
         assert!(q.pop_batch(32).is_empty());
+    }
+
+    #[test]
+    fn push_batch_appends_in_order() {
+        let q = SegQueue::new();
+        q.push(0);
+        q.push_batch(1..4);
+        assert_eq!(q.len(), 4);
+        q.push_batch(Vec::new());
+        assert_eq!(q.pop_batch(32), vec![0, 1]);
+        assert_eq!(q.pop_batch(32), vec![2]);
+        assert_eq!(q.pop(), Some(3));
+        assert!(q.is_empty());
     }
 
     #[test]
